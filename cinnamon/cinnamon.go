@@ -139,12 +139,14 @@ type RunOptions struct {
 	// implies Stats.
 	Trace int
 	// MonitorAddr, when non-empty, serves live monitoring for the run on
-	// this TCP address (host:port; port 0 picks a free one): /metrics
-	// Prometheus scrapes, /stats and /series JSON, an SSE /trace stream
-	// and /healthz. Implies Stats; the server starts before the run and
-	// shuts down after the final snapshot is taken, so a last scrape
-	// reconciles exactly with Report.Stats. See internal/monitor and
-	// docs/OBSERVABILITY.md.
+	// this TCP address (host:port; port 0 picks a free one). The run is
+	// served as a fleet of one: session "s1", labelled tool "inline" and
+	// victim the target's executable module name, on the same server
+	// cinnamond uses — /metrics Prometheus scrapes, /series, /sessions,
+	// /sessions/s1/stats, /sessions/s1/governor, an SSE /trace stream and
+	// /healthz. Implies Stats; the server starts before the run and
+	// shuts down once it ends, so a last scrape reconciles exactly with
+	// Report.Stats. See internal/monitor and docs/OBSERVABILITY.md.
 	MonitorAddr string
 	// Interval is the monitor's time-series sampling period (default 1s;
 	// only meaningful with MonitorAddr).
@@ -173,8 +175,8 @@ type RunOptions struct {
 	// and downsamples — ultimately ejects — the most expensive probes
 	// to keep attributed overhead under the budget; its replayable
 	// decision log lands in Report.Stats.Governor (and on the monitor's
-	// /governor endpoint when MonitorAddr is set). Implies Stats. See
-	// docs/ADAPTIVE.md.
+	// /sessions/s1/governor endpoint when MonitorAddr is set). Implies
+	// Stats. See docs/ADAPTIVE.md.
 	Budget string
 	// GovernorWindow overrides the governor's evaluation cadence in
 	// machine cycle units (0 = governor.DefaultWindow; only meaningful
@@ -241,24 +243,10 @@ func (t *Tool) Run(target *Target, backendName string, opts RunOptions) (*Report
 			return nil, fmt.Errorf("cinnamon: %w", err)
 		}
 	}
+	finish := func(*vm.Result, error) {}
 	if opts.MonitorAddr != "" {
-		mon := monitor.NewServer(monitor.Config{
-			Collector: col,
-			Backend:   backendName,
-			Interval:  opts.Interval,
-			Governor:  gov,
-		})
-		addr, err := mon.Start(opts.MonitorAddr)
-		if err != nil {
+		if finish, err = serve(target, backendName, opts, col, gov); err != nil {
 			return nil, fmt.Errorf("cinnamon: %w", err)
-		}
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			_ = mon.Shutdown(ctx)
-		}()
-		if opts.OnMonitor != nil {
-			opts.OnMonitor(addr)
 		}
 	}
 	bopts := backend.Options{
@@ -279,6 +267,7 @@ func (t *Tool) Run(target *Target, backendName string, opts RunOptions) (*Report
 		bopts.OnMachine = gov.Attach
 	}
 	res, err := backend.Run(t.compiled, target.Prog, backendName, bopts)
+	finish(res, err)
 	if err != nil {
 		return nil, fmt.Errorf("cinnamon: run on %s: %w", backendName, err)
 	}
@@ -298,6 +287,49 @@ func (t *Tool) Run(target *Target, backendName string, opts RunOptions) (*Report
 		rep.ToolOutput = buf.String()
 	}
 	return rep, nil
+}
+
+// serve registers the run as session s1 of a fleet of one — its
+// collector, series and governor, labelled tool "inline" and victim the
+// target's executable module — and serves it on opts.MonitorAddr. The
+// returned finish settles the session with the run's outcome, takes the
+// series' final point and shuts the server down; the collector is
+// frozen by then, so a last scrape reconciles exactly with the report.
+func serve(target *Target, backendName string, opts RunOptions, col *obs.Collector, gov *governor.Governor) (finish func(*vm.Result, error), err error) {
+	series := obs.NewSeries(col, backendName, obs.SeriesOptions{Interval: opts.Interval})
+	fleet := monitor.NewFleet()
+	labels := monitor.SessionLabels{
+		Session: "s1",
+		Tool:    "inline",
+		Victim:  target.Prog.Obj.Executable().Name,
+		Backend: backendName,
+	}
+	sess, err := fleet.Add(labels, col, series)
+	if err != nil {
+		return nil, err
+	}
+	sess.SetGovernor(gov)
+	srv := monitor.NewFleetServer(monitor.FleetConfig{Fleet: fleet})
+	addr, err := srv.Start(opts.MonitorAddr)
+	if err != nil {
+		return nil, err
+	}
+	sess.Start()
+	series.Start()
+	if opts.OnMonitor != nil {
+		opts.OnMonitor(addr)
+	}
+	return func(res *vm.Result, err error) {
+		if err != nil {
+			sess.Finish(monitor.SessionFailed, 0, 0, err.Error())
+		} else {
+			sess.Finish(monitor.SessionDone, res.Cycles, res.Insts, "")
+		}
+		series.Stop()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+	}, nil
 }
 
 // BaselineRun executes the target without any instrumentation and reports

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/monitor"
 	"repro/internal/obj"
 	"repro/internal/progs"
 	"repro/internal/workload"
@@ -16,9 +17,10 @@ import (
 
 // TestLiveMonitoredSession is the acceptance path of the live-monitoring
 // work: a use-after-free monitor instruments a looped victim with the
-// monitor server attached, the "operator" scrapes /metrics and /stats
-// while the victim is still running, and the scrapes must be monotone
-// and bounded by the final report, which must reconcile exactly.
+// monitor server attached, the "operator" scrapes /metrics and
+// /sessions/s1/stats while the victim is still running, and the scrapes
+// must be monotone and bounded by the final report, which must
+// reconcile exactly. The run is served as session s1 of a fleet of one.
 func TestLiveMonitoredSession(t *testing.T) {
 	src, err := progs.Source(progs.UseAfterFree)
 	if err != nil {
@@ -86,8 +88,8 @@ func TestLiveMonitoredSession(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		var probing Stats
-		if err := json.Unmarshal([]byte(httpGet("/stats")), &probing); err != nil {
-			t.Fatalf("/stats: %v", err)
+		if err := json.Unmarshal([]byte(httpGet("/sessions/s1/stats")), &probing); err != nil {
+			t.Fatalf("/sessions/s1/stats: %v", err)
 		}
 		if probing.TotalFires > 0 {
 			break
@@ -116,8 +118,8 @@ func TestLiveMonitoredSession(t *testing.T) {
 	}
 	scrape1 := parse(httpGet("/metrics"))
 	var live Stats
-	if err := json.Unmarshal([]byte(httpGet("/stats")), &live); err != nil {
-		t.Fatalf("/stats: %v", err)
+	if err := json.Unmarshal([]byte(httpGet("/sessions/s1/stats")), &live); err != nil {
+		t.Fatalf("/sessions/s1/stats: %v", err)
 	}
 	scrape2 := parse(httpGet("/metrics"))
 	for key, v1 := range scrape1 {
@@ -126,7 +128,7 @@ func TestLiveMonitoredSession(t *testing.T) {
 		}
 	}
 	if live.Backend != Pin || len(live.Probes) == 0 {
-		t.Fatalf("mid-run /stats = %+v", live)
+		t.Fatalf("mid-run /sessions/s1/stats = %+v", live)
 	}
 
 	res := <-done
@@ -144,6 +146,9 @@ func TestLiveMonitoredSession(t *testing.T) {
 	for key, v := range scrape2 {
 		if !strings.HasPrefix(key, "cinnamon_probe_fires_total{") {
 			continue
+		}
+		if !strings.HasPrefix(key, `cinnamon_probe_fires_total{session="s1",tool="inline",victim="uaf_bug",backend="pin",`) {
+			t.Errorf("fire series %s lacks the fleet-of-one labels", key)
 		}
 		fireKeys++
 		if uint64(v) > final.TotalFires {
@@ -173,5 +178,32 @@ func TestLiveMonitoredSession(t *testing.T) {
 	// The monitor shut down with the run.
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Error("monitor still serving after the run ended")
+	}
+}
+
+// A target whose executable module name is not a valid label value is
+// rejected before the monitor binds.
+func TestMonitorRejectsInvalidVictimLabel(t *testing.T) {
+	tool, err := Compile(progs.MustSource(progs.UseAfterFree))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := workload.Victim("uaf_bug")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Name = "uaf\x01bug"
+	target, err := LoadModules([]*obj.Module{m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = tool.Run(target, Pin, RunOptions{
+		ToolOut:     io.Discard,
+		MonitorAddr: "127.0.0.1:0",
+		OnMonitor:   func(addr string) { t.Errorf("monitor bound %s for an invalid victim label", addr) },
+	})
+	want := monitor.ValidateLabelValue("victim", m.Name)
+	if want == nil || err == nil || !strings.Contains(err.Error(), want.Error()) {
+		t.Fatalf("Run = %v, want the label error %v", err, want)
 	}
 }

@@ -11,7 +11,9 @@
 // Every session gets its own sharded collector, interval series and
 // (optionally) overhead governor; /metrics exposes every session under
 // session/tool/victim/backend labels plus cinnamon_fleet_* rollups that
-// are exactly the sum of the per-session series. SIGTERM and SIGINT
+// are exactly the sum of the per-session series, and
+// /sessions/{id}/stats and /sessions/{id}/governor inspect and steer one
+// session. SIGTERM and SIGINT
 // drain gracefully: admission stops (/healthz/ready turns 503), queued
 // sessions are canceled, running sessions finish or are cooperatively
 // cancelled at the -drain-timeout deadline, then the listener closes.

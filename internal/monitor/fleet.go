@@ -11,14 +11,15 @@ import (
 )
 
 // The fleet registry: the aggregation layer a long-lived daemon
-// (cmd/cinnamond) serves many concurrent victim×tool sessions through.
+// (cmd/cinnamond) serves many concurrent victim×tool sessions through,
+// and the one `cinnamon -listen` serves its single run through.
 // Every session owns its own sharded obs.Collector — generation-tagged
 // ProbeIDs make cross-collector firings land in the untracked bucket,
 // never in another session's slots — plus its own interval Series and,
 // optionally, an overhead governor. The Fleet is the read path the
-// aggregated endpoints (fleet /metrics, /series, /sessions, /trace)
-// snapshot; the scheduler (internal/fleet) is its write path, advancing
-// each session through the queued → running → done/failed/canceled
+// FleetServer endpoints snapshot; the session's owner — the scheduler
+// (internal/fleet), or cinnamon.Run — is its write path, advancing each
+// session through the queued → running → done/failed/canceled
 // lifecycle.
 
 // SessionLabels identify one session in fleet exposition: every metric

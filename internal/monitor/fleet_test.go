@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/governor"
 	"repro/internal/obs"
 )
 
@@ -34,7 +35,7 @@ func fleetSession(t *testing.T, f *Fleet, id, tool, victim, backendName string) 
 func fleetScrape(t *testing.T, f *Fleet) (string, map[string]float64) {
 	t.Helper()
 	var b strings.Builder
-	writeFleetMetrics(&b, f)
+	WriteFleetMetrics(&b, f)
 	return b.String(), checkExposition(t, b.String())
 }
 
@@ -340,6 +341,115 @@ func TestFleetTraceMultiplex(t *testing.T) {
 			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err == nil && ev.Session != "" {
 				seen[ev.Session] = true
 			}
+		}
+	}
+}
+
+// /series sums only running sessions into its last rates: a finished
+// session's sampler has stopped, so its final interval's rate is not
+// the fleet's current rate.
+func TestFleetSeriesLastCountsOnlyRunning(t *testing.T) {
+	f := NewFleet()
+	sessA, colA, pA := fleetSession(t, f, "s1", "tool", "spin", "vm")
+	sessB, colB, pB := fleetSession(t, f, "s2", "tool", "loopy", "vm")
+	sessA.Start()
+	sessB.Start()
+	for i := 0; i < 100; i++ {
+		colA.Fire(pA, 1, 0x10)
+	}
+	for i := 0; i < 7; i++ {
+		colB.Fire(pB, 1, 0x20)
+	}
+	sessA.Series().Sample(time.Second)
+	sessB.Series().Sample(time.Second)
+	sessA.Finish(SessionDone, 0, 0, "")
+
+	ts := httptest.NewServer(NewFleetServer(FleetConfig{Fleet: f}).Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/series")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var dump FleetSeriesDump
+	if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
+		t.Fatal(err)
+	}
+	if len(dump.Sessions) != 2 || dump.Sessions[0].State != SessionDone {
+		t.Fatalf("/series sessions = %+v", dump.Sessions)
+	}
+	if dump.Last.Fires != 7 || dump.Last.FiresPerSec != 7 {
+		t.Fatalf("/series last = %+v, want only the running session's 7 fires/sec", dump.Last)
+	}
+}
+
+// The per-session endpoints: the stats snapshot (governor embedded) and
+// governor state and control, with their error statuses.
+func TestFleetSessionStatsAndGovernor(t *testing.T) {
+	f := NewFleet()
+	_, _, _ = fleetSession(t, f, "s1", "tool", "spin", "vm")
+	gov, colG, pG := fleetSession(t, f, "s2", "tool", "loopy", "pin")
+	colG.Fire(pG, 3, 0x10)
+	g, err := governor.New(governor.Config{Budget: 0.05, Collector: colG})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gov.SetGovernor(g)
+	ts := httptest.NewServer(NewFleetServer(FleetConfig{Fleet: f}).Handler())
+	defer ts.Close()
+
+	do := func(method, path, body string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
+	}
+
+	code, body := do("GET", "/sessions/s2/stats", "")
+	var stats struct {
+		Backend    string          `json:"backend"`
+		TotalFires uint64          `json:"total_fires"`
+		Governor   *governor.State `json:"governor"`
+	}
+	if err := json.Unmarshal([]byte(body), &stats); code != 200 || err != nil {
+		t.Fatalf("GET /sessions/s2/stats = %d %v (%s)", code, err, body)
+	}
+	if stats.Backend != "pin" || stats.TotalFires != 1 || stats.Governor == nil || stats.Governor.Budget != 0.05 {
+		t.Fatalf("/sessions/s2/stats = %s", body)
+	}
+
+	code, body = do("GET", "/sessions/s2/governor", "")
+	var st governor.State
+	if err := json.Unmarshal([]byte(body), &st); code != 200 || err != nil || st.Budget != 0.05 {
+		t.Fatalf("GET /sessions/s2/governor = %d %v (%s)", code, err, body)
+	}
+	if code, body = do("POST", "/sessions/s2/governor", `{"probe":1,"action":"eject"}`); code != 200 || !strings.Contains(body, `"queued"`) {
+		t.Fatalf("valid POST = %d %s", code, body)
+	}
+
+	for _, c := range []struct {
+		method, path, body string
+		want               int
+	}{
+		{"POST", "/sessions/s2/governor", `{"probe":1,"action":"explode"}`, http.StatusBadRequest},
+		{"POST", "/sessions/s2/governor", `{"probe":`, http.StatusBadRequest},
+		{"PUT", "/sessions/s2/governor", "", http.StatusMethodNotAllowed},
+		{"GET", "/sessions/s1/governor", "", http.StatusNotFound},
+		{"POST", "/sessions/s1/governor", `{"probe":1,"action":"eject"}`, http.StatusNotFound},
+		{"GET", "/sessions/nope/governor", "", http.StatusNotFound},
+		{"GET", "/sessions/nope/stats", "", http.StatusNotFound},
+		{"POST", "/sessions/s1/stats", "", http.StatusMethodNotAllowed},
+	} {
+		if code, body := do(c.method, c.path, c.body); code != c.want {
+			t.Errorf("%s %s = %d (%s), want %d", c.method, c.path, code, body, c.want)
 		}
 	}
 }

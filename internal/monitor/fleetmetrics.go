@@ -14,10 +14,14 @@ import (
 	"repro/internal/obs"
 )
 
-// Fleet exposition: the per-probe, untracked, trace and governor
-// families of the single-run writer, re-rendered with session/tool/
-// victim/backend labels for every registered session, plus the
-// cinnamon_fleet_* rollups. The rollups are computed from the very same
+// The Prometheus text-exposition writer (format version 0.0.4),
+// hand-rolled so the repo stays dependency-free. Every registered
+// session — a cinnamond job, or the one run of `cinnamon -listen` —
+// is rendered under its session/tool/victim/backend labels: per-probe,
+// untracked, build, translation, trace and governor families, followed
+// by the cinnamon_fleet_* rollups. HELP and TYPE precede each family's
+// samples, label values are escaped per the spec, and counter families
+// end in _total. The rollups are computed from the very same
 // per-session snapshots the labelled series are rendered from — one
 // snapshot per session per scrape — so the fleet totals are exactly the
 // sum of the per-session series, never an approximation from a second
@@ -29,6 +33,32 @@ import (
 // allocations (snapshot probe tables, aggregation rows, rendered label
 // strings, the output buffer) are pooled and reused across scrapes, so
 // a steady-state scrape allocates almost nothing.
+
+// escapeLabel escapes a label value per the exposition format:
+// backslash, double-quote and newline.
+func escapeLabel(v string) string {
+	var b strings.Builder
+	for _, r := range v {
+		switch r {
+		case '\\':
+			b.WriteString(`\\`)
+		case '"':
+			b.WriteString(`\"`)
+		case '\n':
+			b.WriteString(`\n`)
+		default:
+			b.WriteRune(r)
+		}
+	}
+	return b.String()
+}
+
+// probeKey aggregates per-probe samples the same way Stats.WriteTable
+// groups its rows: one series per (label, trigger, mechanism) — a
+// multi-site action is one series, not one per placement site.
+type probeKey struct {
+	label, trigger, mech string
+}
 
 // sessionBase renders the identifying label set of a session.
 func sessionBase(l SessionLabels) string {
@@ -173,9 +203,8 @@ func (ss *sessScrape) prep(s *FleetSession) {
 	}
 }
 
-// Exposition rendering helpers over the pooled byte buffer. They keep
-// the output byte-identical to the previous fmt-based writer while
-// avoiding per-sample formatting allocations.
+// Exposition rendering helpers over the pooled byte buffer: no
+// per-sample formatting allocations.
 
 func appendHeader(b []byte, name, help, typ string) []byte {
 	b = append(b, "# HELP "...)
@@ -190,39 +219,30 @@ func appendHeader(b []byte, name, help, typ string) []byte {
 	return b
 }
 
-func appendSample(b []byte, name, labels string, v uint64) []byte {
+// appendSeries starts a sample line: the name, the braced label set
+// (omitted when empty) and the separating space.
+func appendSeries(b []byte, name, labels string) []byte {
 	b = append(b, name...)
 	if labels != "" {
 		b = append(b, '{')
 		b = append(b, labels...)
 		b = append(b, '}')
 	}
-	b = append(b, ' ')
-	b = strconv.AppendUint(b, v, 10)
-	b = append(b, '\n')
-	return b
+	return append(b, ' ')
+}
+
+func appendSample(b []byte, name, labels string, v uint64) []byte {
+	return append(strconv.AppendUint(appendSeries(b, name, labels), v, 10), '\n')
 }
 
 func appendSampleFloat(b []byte, name, labels string, v float64) []byte {
-	b = append(b, name...)
-	if labels != "" {
-		b = append(b, '{')
-		b = append(b, labels...)
-		b = append(b, '}')
-	}
-	b = append(b, ' ')
-	b = strconv.AppendFloat(b, v, 'g', -1, 64)
-	b = append(b, '\n')
-	return b
+	return append(strconv.AppendFloat(appendSeries(b, name, labels), v, 'g', -1, 64), '\n')
 }
 
 // WriteFleetMetrics renders the whole fleet as one exposition document
-// — the body of the fleet /metrics endpoint, exported so the scheduler's
-// soak tests and the load harness can render scrapes without a listener.
-func WriteFleetMetrics(w io.Writer, f *Fleet) { writeFleetMetrics(w, f) }
-
-// writeFleetMetrics renders the whole fleet as one exposition document.
-func writeFleetMetrics(w io.Writer, f *Fleet) {
+// — the body of the /metrics endpoint, exported so the scheduler's soak
+// tests and the load harness can render scrapes without a listener.
+func WriteFleetMetrics(w io.Writer, f *Fleet) {
 	sessions := f.Sessions()
 
 	st := scrapePool.Get().(*scrapeState)
@@ -257,7 +277,7 @@ func writeFleetMetrics(w io.Writer, f *Fleet) {
 
 	// Render phase: a straight sequential walk over the prepped slots,
 	// in the fixed family order. Families with no samples are skipped
-	// entirely (no HELP/TYPE), matching the single-run writer.
+	// entirely (no HELP/TYPE).
 	b := st.buf[:0]
 	anyRows := false
 	for i := range st.slots {
@@ -293,6 +313,14 @@ func writeFleetMetrics(w io.Writer, f *Fleet) {
 		{"cinnamon_untracked_fires_total", "Firings of probes not registered with the session's collector.", "counter", func(s *sessScrape) uint64 { return s.snap.UntrackedFires }},
 		{"cinnamon_untracked_cycles_total", "Cycle units of untracked firings.", "counter", func(s *sessScrape) uint64 { return s.snap.UntrackedCycles }},
 		{"cinnamon_untracked_skips_total", "Sampling-gate skips of untracked probes.", "counter", func(s *sessScrape) uint64 { return s.snap.UntrackedSkips }},
+		{"cinnamon_build_actions_placed", "Compiled actions handed to the backend placer.", "gauge", func(s *sessScrape) uint64 { return uint64(s.snap.Build.ActionsPlaced) }},
+		{"cinnamon_build_static_filtered", "Placements skipped by static where-constraints.", "gauge", func(s *sessScrape) uint64 { return uint64(s.snap.Build.StaticFiltered) }},
+		{"cinnamon_build_rules_emitted", "Janus rewrite rules produced by the static analyzer.", "gauge", func(s *sessScrape) uint64 { return uint64(s.snap.Build.RulesEmitted) }},
+		{"cinnamon_build_clean_calls", "Clean-call insertions by the dynamic frameworks.", "gauge", func(s *sessScrape) uint64 { return uint64(s.snap.Build.CleanCalls) }},
+		{"cinnamon_build_inlined_calls", "Inlined-call insertions by the dynamic frameworks.", "gauge", func(s *sessScrape) uint64 { return uint64(s.snap.Build.InlinedCalls) }},
+		{"cinnamon_build_snippets", "Dyninst snippet insertions.", "gauge", func(s *sessScrape) uint64 { return uint64(s.snap.Build.Snippets) }},
+		{"cinnamon_translated_blocks_total", "Just-in-time block translations.", "counter", func(s *sessScrape) uint64 { return uint64(s.snap.Build.BlocksTranslated) }},
+		{"cinnamon_translation_cycles_total", "Cycle units charged to just-in-time block translation.", "counter", func(s *sessScrape) uint64 { return s.snap.Build.TranslationCycles }},
 		{"cinnamon_session_fires_total", "All probe firings of the session, untracked included.", "counter", func(s *sessScrape) uint64 { return s.snap.TotalFires }},
 		{"cinnamon_session_skips_total", "All sampling-gate skips of the session, untracked included.", "counter", func(s *sessScrape) uint64 { return s.snap.TotalSkips }},
 		{"cinnamon_session_cycles_total", "All instrumentation cycle units of the session, untracked included.", "counter", func(s *sessScrape) uint64 { return s.snap.ProbeCycles }},
@@ -335,33 +363,23 @@ func writeFleetMetrics(w io.Writer, f *Fleet) {
 		b = appendSample(b, g.name, "", g.value)
 	}
 
-	var counts [5]uint64
-	for i := range st.slots {
-		switch st.slots[i].state {
-		case SessionQueued:
-			counts[0]++
-		case SessionRunning:
-			counts[1]++
-		case SessionDone:
-			counts[2]++
-		case SessionFailed:
-			counts[3]++
-		case SessionCanceled:
-			counts[4]++
-		}
-	}
 	b = appendHeader(b, "cinnamon_fleet_sessions", "Sessions by lifecycle state.", "gauge")
-	for i, state := range SessionStates() {
+	for _, state := range SessionStates() {
+		var n uint64
+		for i := range st.slots {
+			if st.slots[i].state == state {
+				n++
+			}
+		}
 		b = append(b, `cinnamon_fleet_sessions{state="`...)
 		b = append(b, string(state)...)
 		b = append(b, `"} `...)
-		b = strconv.AppendUint(b, counts[i], 10)
+		b = strconv.AppendUint(b, n, 10)
 		b = append(b, '\n')
 	}
 
-	// Governor families, for governed sessions. The per-session subset
-	// of writeGovernorMetrics: budget, cumulative overhead, ejections
-	// (full decision history stays on the per-run /governor endpoint).
+	// Governor families, for governed sessions (the full decision log
+	// stays on /sessions/{id}/governor).
 	anyGov := false
 	for i := range st.slots {
 		if st.slots[i].gov != nil {
@@ -370,27 +388,29 @@ func writeFleetMetrics(w io.Writer, f *Fleet) {
 		}
 	}
 	if anyGov {
+		// Counts render as integers (u), ratios as floats (f).
 		govFams := []struct {
-			name, help string
-			float      bool
-			getF       func(*sessScrape) float64
-			getU       func(*sessScrape) uint64
+			name, help, typ string
+			f               func(*sessScrape) float64
+			u               func(*sessScrape) uint64
 		}{
-			{"cinnamon_governor_budget", "Configured probe-overhead budget (fraction of machine cycles).", true, func(s *sessScrape) float64 { return s.govState.Budget }, nil},
-			{"cinnamon_governor_cum_overhead", "Attributed probe overhead of the run so far.", true, func(s *sessScrape) float64 { return s.govState.CumOverhead }, nil},
-			{"cinnamon_governor_ejected_probes", "Probes currently ejected by the governor.", false, nil, func(s *sessScrape) uint64 { return uint64(s.govEjected) }},
+			{"cinnamon_governor_budget", "Configured probe-overhead budget (fraction of machine cycles).", "gauge", func(s *sessScrape) float64 { return s.govState.Budget }, nil},
+			{"cinnamon_governor_paces_total", "Governor evaluation points so far.", "counter", nil, func(s *sessScrape) uint64 { return s.govState.Paces }},
+			{"cinnamon_governor_overhead", "Attributed probe overhead of the most recent governor window.", "gauge", func(s *sessScrape) float64 { return s.govState.LastOverhead }, nil},
+			{"cinnamon_governor_cum_overhead", "Attributed probe overhead of the run so far.", "gauge", func(s *sessScrape) float64 { return s.govState.CumOverhead }, nil},
+			{"cinnamon_governor_decisions_total", "Control decisions taken (downsample, eject, rearm, stride).", "counter", nil, func(s *sessScrape) uint64 { return uint64(len(s.govState.Decisions)) }},
+			{"cinnamon_governor_ejected_probes", "Probes currently ejected by the governor.", "gauge", nil, func(s *sessScrape) uint64 { return uint64(s.govEjected) }},
 		}
 		for _, fam := range govFams {
-			b = appendHeader(b, fam.name, fam.help, "gauge")
+			b = appendHeader(b, fam.name, fam.help, fam.typ)
 			for i := range st.slots {
 				ss := &st.slots[i]
-				if ss.gov == nil {
-					continue
-				}
-				if fam.float {
-					b = appendSampleFloat(b, fam.name, ss.base, fam.getF(ss))
-				} else {
-					b = appendSample(b, fam.name, ss.base, fam.getU(ss))
+				switch {
+				case ss.gov == nil:
+				case fam.f != nil:
+					b = appendSampleFloat(b, fam.name, ss.base, fam.f(ss))
+				default:
+					b = appendSample(b, fam.name, ss.base, fam.u(ss))
 				}
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/governor"
 	"repro/internal/obs"
 )
 
@@ -81,11 +82,27 @@ func checkExposition(t *testing.T, text string) map[string]float64 {
 	return series
 }
 
-func scrape(t *testing.T, snap *obs.Stats, col *obs.Collector) (string, map[string]float64) {
+// one is the label set of a fleet of one: the session `cinnamon
+// -listen` registers for its run (see fleetOfOne).
+const one = `session="s1",tool="inline",victim="a.out",backend=`
+
+// fleetOfOne registers col as the only session of a fleet, the way
+// `cinnamon -listen` serves its run, with the given series (may be nil).
+func fleetOfOne(t *testing.T, col *obs.Collector, backend string, series *obs.Series) (*Fleet, *FleetSession) {
 	t.Helper()
-	var b strings.Builder
-	writeMetrics(&b, snap, col)
-	return b.String(), checkExposition(t, b.String())
+	f := NewFleet()
+	sess, err := f.Add(SessionLabels{Session: "s1", Tool: "inline", Victim: "a.out", Backend: backend}, col, series)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, sess
+}
+
+// scrape renders a fleet-of-one exposition of col and validates it.
+func scrape(t *testing.T, col *obs.Collector, backend string) (string, map[string]float64) {
+	t.Helper()
+	f, _ := fleetOfOne(t, col, backend, nil)
+	return fleetScrape(t, f)
 }
 
 func TestMetricsExpositionConformance(t *testing.T) {
@@ -99,24 +116,24 @@ func TestMetricsExpositionConformance(t *testing.T) {
 	col.Fire(e, 4, 0x200)
 	col.Fire(obs.NoProbe, 7, 0x300)
 
-	text, series := scrape(t, col.Snapshot("pin"), col)
+	text, series := scrape(t, col, "pin")
 
 	// Same-label placements aggregate into one series.
-	key := `cinnamon_probe_fires_total{backend="pin",probe="before inst @7:3",trigger="before",mechanism="clean-call"}`
+	key := `cinnamon_probe_fires_total{` + one + `"pin",probe="before inst @7:3",trigger="before",mechanism="clean-call"}`
 	if series[key] != 2 {
 		t.Fatalf("aggregated fires = %v, want 2\n%s", series[key], text)
 	}
-	if series[`cinnamon_probe_cycles_total{backend="pin",probe="edge check",trigger="edge",mechanism="inlined-call"}`] != 4 {
+	if series[`cinnamon_probe_cycles_total{`+one+`"pin",probe="edge check",trigger="edge",mechanism="inlined-call"}`] != 4 {
 		t.Fatalf("edge cycles missing\n%s", text)
 	}
-	if series[`cinnamon_untracked_fires_total{backend="pin"}`] != 1 ||
-		series[`cinnamon_untracked_cycles_total{backend="pin"}`] != 7 {
+	if series[`cinnamon_untracked_fires_total{`+one+`"pin"}`] != 1 ||
+		series[`cinnamon_untracked_cycles_total{`+one+`"pin"}`] != 7 {
 		t.Fatalf("untracked bucket not exported\n%s", text)
 	}
-	if series[`cinnamon_build_clean_calls{backend="pin"}`] != 2 {
+	if series[`cinnamon_build_clean_calls{`+one+`"pin"}`] != 2 {
 		t.Fatalf("build stats not exported\n%s", text)
 	}
-	if _, ok := series[`cinnamon_trace_subscribers{backend="pin"}`]; !ok {
+	if _, ok := series[`cinnamon_trace_subscribers{`+one+`"pin"}`]; !ok {
 		t.Fatalf("subscriber gauge missing\n%s", text)
 	}
 }
@@ -130,9 +147,9 @@ func TestMetricsLabelEscaping(t *testing.T) {
 	})
 	col.Fire(id, 1, 0)
 
-	text, series := scrape(t, col.Snapshot("dyninst"), col)
+	text, series := scrape(t, col, "dyninst")
 
-	want := `cinnamon_probe_fires_total{backend="dyninst",probe="odd\"label\\with\nnewline",trigger="before",mechanism="snippet"}`
+	want := `cinnamon_probe_fires_total{` + one + `"dyninst",probe="odd\"label\\with\nnewline",trigger="before",mechanism="snippet"}`
 	if series[want] != 1 {
 		t.Fatalf("escaped series not found; exposition:\n%s", text)
 	}
@@ -144,15 +161,16 @@ func TestMetricsLabelEscaping(t *testing.T) {
 func TestMetricsMonotoneAcrossScrapes(t *testing.T) {
 	col := obs.New(obs.Options{TraceCap: 2})
 	id := col.RegisterProbe(obs.ProbeMeta{Label: "hot", Trigger: obs.TriggerBefore, Mechanism: obs.MechCleanCall})
+	f, _ := fleetOfOne(t, col, "vm", nil)
 
 	col.Fire(id, 3, 0x10)
-	_, first := scrape(t, col.Snapshot("vm"), col)
+	_, first := fleetScrape(t, f)
 
 	for i := 0; i < 100; i++ {
 		col.Fire(id, 3, 0x10)
 	}
 	col.NoteTranslation(50)
-	_, second := scrape(t, col.Snapshot("vm"), col)
+	_, second := fleetScrape(t, f)
 
 	for key, v1 := range first {
 		if !strings.Contains(key, "_total") {
@@ -162,11 +180,76 @@ func TestMetricsMonotoneAcrossScrapes(t *testing.T) {
 			t.Errorf("counter %s went %v -> %v (missing or decreased)", key, v1, v2)
 		}
 	}
-	key := `cinnamon_probe_fires_total{backend="vm",probe="hot",trigger="before",mechanism="clean-call"}`
+	key := `cinnamon_probe_fires_total{` + one + `"vm",probe="hot",trigger="before",mechanism="clean-call"}`
 	if first[key] != 1 || second[key] != 101 {
 		t.Fatalf("fires %v -> %v, want 1 -> 101", first[key], second[key])
 	}
-	if second[`cinnamon_translated_blocks_total{backend="vm"}`] != 1 {
+	if second[`cinnamon_translated_blocks_total{`+one+`"vm"}`] != 1 {
 		t.Fatalf("translation counter not exported")
+	}
+	if second[`cinnamon_translation_cycles_total{`+one+`"vm"}`] != 50 {
+		t.Fatalf("translation cycles not exported")
+	}
+}
+
+// Every exposition family appears, with its type, in a governed
+// fleet-of-one scrape (and the governor families only for a governed
+// session).
+func TestFleetOfOneEmitsUnionOfFamilies(t *testing.T) {
+	col := obs.New(obs.Options{TraceCap: 2})
+	id := col.RegisterProbe(obs.ProbeMeta{Label: "hot", Trigger: obs.TriggerBefore, Mechanism: obs.MechCleanCall})
+	col.Fire(id, 3, 0x10)
+	f, sess := fleetOfOne(t, col, "pin", nil)
+
+	govFams := map[string]string{
+		"cinnamon_governor_budget":          "gauge",
+		"cinnamon_governor_paces_total":     "counter",
+		"cinnamon_governor_overhead":        "gauge",
+		"cinnamon_governor_cum_overhead":    "gauge",
+		"cinnamon_governor_decisions_total": "counter",
+		"cinnamon_governor_ejected_probes":  "gauge",
+	}
+	text, _ := fleetScrape(t, f)
+	for name := range govFams {
+		if strings.Contains(text, name) {
+			t.Fatalf("ungoverned session exposes %s\n%s", name, text)
+		}
+	}
+
+	g, err := governor.New(governor.Config{Budget: 0.05, Collector: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.SetGovernor(g)
+	text, series := fleetScrape(t, f)
+	want := map[string]string{
+		"cinnamon_probe_fires_total":              "counter",
+		"cinnamon_probe_skips_total":              "counter",
+		"cinnamon_probe_cycles_total":             "counter",
+		"cinnamon_untracked_fires_total":          "counter",
+		"cinnamon_untracked_cycles_total":         "counter",
+		"cinnamon_untracked_skips_total":          "counter",
+		"cinnamon_build_actions_placed":           "gauge",
+		"cinnamon_build_static_filtered":          "gauge",
+		"cinnamon_build_rules_emitted":            "gauge",
+		"cinnamon_build_clean_calls":              "gauge",
+		"cinnamon_build_inlined_calls":            "gauge",
+		"cinnamon_build_snippets":                 "gauge",
+		"cinnamon_translated_blocks_total":        "counter",
+		"cinnamon_translation_cycles_total":       "counter",
+		"cinnamon_trace_dropped_total":            "counter",
+		"cinnamon_trace_subscribers":              "gauge",
+		"cinnamon_trace_subscriber_dropped_total": "counter",
+	}
+	for name, typ := range govFams {
+		want[name] = typ
+	}
+	for name, typ := range want {
+		if !strings.Contains(text, "# TYPE "+name+" "+typ+"\n") {
+			t.Errorf("family %s (%s) missing\n%s", name, typ, text)
+		}
+	}
+	if series[`cinnamon_governor_budget{`+one+`"pin"}`] != 0.05 {
+		t.Fatalf("governor budget sample missing\n%s", text)
 	}
 }

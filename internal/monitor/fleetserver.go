@@ -1,3 +1,39 @@
+// Package monitor serves live observability for instrumented runs over
+// HTTP, backed by the concurrent-safe read path of internal/obs, so a
+// run never blocks on an observer. A Fleet registers sessions — each
+// with its own collector, interval series and optional overhead
+// governor — and a FleetServer serves them: the cinnamond daemon's
+// many scheduled jobs, or the single run of `cinnamon -listen`, which
+// is a fleet of one (session s1).
+//
+// Endpoints:
+//
+//	GET  /metrics                 Prometheus text exposition: every
+//	                              session under session/tool/victim/
+//	                              backend labels, plus exact
+//	                              cinnamon_fleet_* rollups
+//	GET  /series                  every session's interval series plus
+//	                              the running sessions' summed last rates
+//	GET  /sessions                lifecycle of every session
+//	                              (?session=ID for one)
+//	POST /sessions                submit a job to the scheduler
+//	GET  /sessions/{id}/stats     the session's full obs.Stats snapshot
+//	                              (governor state embedded when governed)
+//	GET  /sessions/{id}/governor  the session's overhead-governor state:
+//	                              budget, window overheads, per-probe
+//	                              strides, the decision log
+//	POST /sessions/{id}/governor  a control command
+//	                              ({"probe":N,"action":"rearm"}),
+//	                              mailboxed and applied at the governor's
+//	                              next pace point on the run goroutine
+//	GET  /trace                   SSE stream of every session's firing
+//	                              events, tagged with the session, with
+//	                              heartbeats carrying the stream's drop
+//	                              count (slow clients lose events, never
+//	                              stall a run)
+//	GET  /healthz                 liveness (alias of /healthz/live)
+//	GET  /healthz/live            liveness: the process serves HTTP
+//	GET  /healthz/ready           readiness: 503 while draining
 package monitor
 
 import (
@@ -7,9 +43,9 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/governor"
 	"repro/internal/obs"
 )
 
@@ -30,7 +66,8 @@ type FleetConfig struct {
 	// multiplexer also discovers newly registered sessions on this tick.
 	Heartbeat time.Duration
 	// TraceBuf is the per-tap and merged-stream channel depth (default
-	// 256). Events beyond a slow consumer are dropped and accounted.
+	// 256). Events a slow consumer cannot take are dropped at the
+	// session's collector and accounted.
 	TraceBuf int
 	// Artifacts, when non-nil, supplies the scheduler's artifact-cache
 	// counters; /metrics then appends the cinnamon_artifact_* families
@@ -38,21 +75,11 @@ type FleetConfig struct {
 	Artifacts func() ArtifactStats
 }
 
-// FleetServer serves the aggregated fleet view over HTTP:
-//
-//	GET  /metrics        per-session-labelled exposition + fleet rollups
-//	GET  /series         every session's interval series + merged last rates
-//	GET  /sessions       lifecycle of every session (?session=ID for one)
-//	POST /sessions       submit a job to the scheduler
-//	GET  /trace          multiplexed SSE of all sessions' firing events,
-//	                     each tagged with its session label
-//	GET  /healthz        liveness (alias of /healthz/live)
-//	GET  /healthz/live   liveness
-//	GET  /healthz/ready  readiness: 503 while draining
+// FleetServer serves a Fleet's sessions over HTTP (the endpoints are
+// listed in the package documentation).
 type FleetServer struct {
 	cfg  FleetConfig
 	srv  *http.Server
-	ln   net.Listener
 	quit chan struct{}
 }
 
@@ -73,6 +100,8 @@ func (s *FleetServer) Handler() http.Handler {
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/series", s.handleSeries)
 	mux.HandleFunc("/sessions", s.handleSessions)
+	mux.HandleFunc("GET /sessions/{id}/stats", s.handleStats)
+	mux.HandleFunc("/sessions/{id}/governor", s.handleGovernor)
 	mux.HandleFunc("/trace", s.handleTrace)
 	mux.HandleFunc("/healthz", s.handleLive)
 	mux.HandleFunc("/healthz/live", s.handleLive)
@@ -88,7 +117,6 @@ func (s *FleetServer) Start(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("monitor: listen %s: %w", addr, err)
 	}
-	s.ln = ln
 	s.srv = &http.Server{Handler: s.Handler()}
 	go func() { _ = s.srv.Serve(ln) }()
 	return ln.Addr().String(), nil
@@ -103,7 +131,7 @@ func (s *FleetServer) Shutdown(ctx context.Context) error {
 
 func (s *FleetServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	writeFleetMetrics(w, s.cfg.Fleet)
+	WriteFleetMetrics(w, s.cfg.Fleet)
 	if s.cfg.Artifacts != nil {
 		writeArtifactMetrics(w, s.cfg.Artifacts())
 	}
@@ -121,8 +149,9 @@ type SessionSeries struct {
 // plus the merged most-recent rates.
 type FleetSeriesDump struct {
 	Sessions []SessionSeries `json:"sessions"`
-	// Last sums the most recent point of every session's series: the
-	// fleet's current aggregate rates.
+	// Last sums the most recent point of every running session's
+	// series: the fleet's current aggregate rates. Finished sessions
+	// keep their series but no longer contribute.
 	Last obs.Rate `json:"last"`
 }
 
@@ -133,22 +162,38 @@ func (s *FleetServer) handleSeries(w http.ResponseWriter, r *http.Request) {
 		if ser == nil {
 			continue
 		}
+		state := sess.State()
 		dump.Sessions = append(dump.Sessions, SessionSeries{
 			SessionLabels: sess.Labels(),
-			State:         sess.State(),
+			State:         state,
 			Series:        ser.Dump(),
 		})
-		if p, ok := ser.Last(); ok {
+		if p, ok := ser.Last(); ok && state == SessionRunning {
 			dump.Last.Fires += p.Total.Fires
 			dump.Last.Cycles += p.Total.Cycles
 			dump.Last.FiresPerSec += p.Total.FiresPerSec
 			dump.Last.CyclesPerSec += p.Total.CyclesPerSec
 		}
 	}
+	writeJSON(w, http.StatusOK, dump)
+}
+
+// writeJSON answers with an indented JSON document.
+func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(dump)
+	_ = enc.Encode(v)
+}
+
+// lookup resolves a session ID, answering 404 for an unknown one.
+func (s *FleetServer) lookup(w http.ResponseWriter, id string) (*FleetSession, bool) {
+	sess, ok := s.cfg.Fleet.Get(id)
+	if !ok {
+		http.Error(w, fmt.Sprintf("no session %q", id), http.StatusNotFound)
+	}
+	return sess, ok
 }
 
 // handleSessions serves the lifecycle view (GET; ?session=ID narrows to
@@ -156,23 +201,17 @@ func (s *FleetServer) handleSeries(w http.ResponseWriter, r *http.Request) {
 func (s *FleetServer) handleSessions(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
 		if id := r.URL.Query().Get("session"); id != "" {
-			sess, ok := s.cfg.Fleet.Get(id)
-			if !ok {
-				http.Error(w, fmt.Sprintf("no session %q", id), http.StatusNotFound)
-				return
+			if sess, ok := s.lookup(w, id); ok {
+				writeJSON(w, http.StatusOK, sess.Info())
 			}
-			_ = enc.Encode(sess.Info())
 			return
 		}
 		infos := []SessionInfo{}
 		for _, sess := range s.cfg.Fleet.Sessions() {
 			infos = append(infos, sess.Info())
 		}
-		_ = enc.Encode(infos)
+		writeJSON(w, http.StatusOK, infos)
 	case http.MethodPost:
 		if s.cfg.Submit == nil {
 			http.Error(w, "session submission disabled", http.StatusMethodNotAllowed)
@@ -192,11 +231,60 @@ func (s *FleetServer) handleSessions(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
+		writeJSON(w, http.StatusAccepted, resp)
+	default:
+		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	}
+}
+
+// handleStats serves one session's full obs.Stats snapshot, with its
+// governor's state embedded when the session is governed.
+func (s *FleetServer) handleStats(w http.ResponseWriter, r *http.Request) {
+	sess, ok := s.lookup(w, r.PathValue("id"))
+	if !ok {
+		return
+	}
+	snap := sess.Collector().Snapshot(sess.Labels().Backend)
+	if g := sess.Governor(); g != nil {
+		snap.Governor = g.State()
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_ = snap.WriteJSON(w)
+}
+
+// handleGovernor serves one session's overhead governor: GET returns
+// its state (budget, window overheads, per-probe strides and the
+// replayable decision log), POST mailboxes a control command — the
+// mutation itself happens at the governor's next pace point, on the run
+// goroutine, where adaptive-probe control is legal.
+func (s *FleetServer) handleGovernor(w http.ResponseWriter, r *http.Request) {
+	sess, ok := s.lookup(w, r.PathValue("id"))
+	if !ok {
+		return
+	}
+	g := sess.Governor()
+	if g == nil {
+		http.Error(w, "session has no governor (run with a budget)", http.StatusNotFound)
+		return
+	}
+	switch r.Method {
+	case http.MethodGet:
+		writeJSON(w, http.StatusOK, g.State())
+	case http.MethodPost:
+		var cmd governor.Command
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&cmd); err != nil {
+			http.Error(w, fmt.Sprintf("bad command: %v", err), http.StatusBadRequest)
+			return
+		}
+		switch cmd.Action {
+		case "rearm", "eject", "stride":
+		default:
+			http.Error(w, fmt.Sprintf("bad action %q (want rearm, eject or stride)", cmd.Action), http.StatusBadRequest)
+			return
+		}
+		g.Enqueue(cmd)
 		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(resp)
+		fmt.Fprintln(w, `{"status":"queued"}`)
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
@@ -235,8 +323,7 @@ type FleetTraceEvent struct {
 
 // fleetHeartbeat rides on the multiplexed stream's keep-alives: how
 // many sessions are tapped and how many events this subscriber has
-// missed — collector-side tap overflow plus merge-channel overflow,
-// monotone for the life of the stream.
+// missed across them, monotone for the life of the stream.
 type fleetHeartbeat struct {
 	Sessions int    `json:"sessions"`
 	Dropped  uint64 `json:"dropped"`
@@ -246,8 +333,10 @@ type fleetHeartbeat struct {
 // stream. Each session gets a bounded tap (obs.Subscribe) pumped into a
 // shared merge channel; events carry the session label. Sessions
 // registered after the stream opened are tapped at the next heartbeat
-// tick. A slow client loses events — tap- and merge-side drops are
-// counted and reported on every heartbeat — but never stalls a run.
+// tick. A slow client backs up the pumps, never a run: the collector's
+// non-blocking send drops what a full tap cannot take, and counts it,
+// so every lost event shows in the heartbeat and in the session's
+// cinnamon_trace_subscriber_dropped_total.
 func (s *FleetServer) handleTrace(w http.ResponseWriter, r *http.Request) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -261,7 +350,6 @@ func (s *FleetServer) handleTrace(w http.ResponseWriter, r *http.Request) {
 		ch  chan obs.TraceEvent
 	}
 	merged := make(chan FleetTraceEvent, s.cfg.TraceBuf)
-	var mergeDrops atomic.Uint64
 	stop := make(chan struct{})
 	taps := map[string]*tap{} // touched only by this handler goroutine
 
@@ -282,8 +370,8 @@ func (s *FleetServer) handleTrace(w http.ResponseWriter, r *http.Request) {
 					case ev := <-t.ch:
 						select {
 						case merged <- FleetTraceEvent{Session: id, TraceEvent: ev}:
-						default:
-							mergeDrops.Add(1)
+						case <-stop:
+							return
 						}
 					}
 				}
@@ -317,7 +405,7 @@ func (s *FleetServer) handleTrace(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		case <-tick.C:
 			attach()
-			dropped := mergeDrops.Load()
+			var dropped uint64
 			for _, t := range taps {
 				dropped += t.sub.Dropped()
 			}

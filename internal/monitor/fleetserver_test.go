@@ -28,11 +28,15 @@ func get(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
+// A fleet of one serves its run's live state: liveness, the session's
+// stats snapshot, its series, and conformant monotone scrapes.
 func TestEndpointsServeLiveState(t *testing.T) {
 	col := obs.New(obs.Options{TraceCap: 8})
 	id := col.RegisterProbe(obs.ProbeMeta{Label: "hot", Trigger: obs.TriggerBefore, Mechanism: obs.MechCleanCall})
-	s := NewServer(Config{Collector: col, Backend: "vm", Interval: time.Second})
-	ts := httptest.NewServer(s.Handler())
+	series := obs.NewSeries(col, "vm", obs.SeriesOptions{Interval: time.Second})
+	f, sess := fleetOfOne(t, col, "vm", series)
+	sess.Start()
+	ts := httptest.NewServer(NewFleetServer(FleetConfig{Fleet: f}).Handler())
 	defer ts.Close()
 
 	if code, body := get(t, ts.URL+"/healthz"); code != 200 || body != "ok\n" {
@@ -40,31 +44,37 @@ func TestEndpointsServeLiveState(t *testing.T) {
 	}
 
 	col.Fire(id, 5, 0x40)
-	code, body := get(t, ts.URL+"/stats")
+	code, body := get(t, ts.URL+"/sessions/s1/stats")
 	if code != 200 {
-		t.Fatalf("/stats = %d", code)
+		t.Fatalf("/sessions/s1/stats = %d", code)
 	}
 	var stats obs.Stats
 	if err := json.Unmarshal([]byte(body), &stats); err != nil {
-		t.Fatalf("/stats not JSON: %v", err)
+		t.Fatalf("/sessions/s1/stats not JSON: %v", err)
 	}
 	if stats.Backend != "vm" || stats.TotalFires != 1 || len(stats.Probes) != 1 {
-		t.Fatalf("/stats = %+v", stats)
+		t.Fatalf("/sessions/s1/stats = %+v", stats)
 	}
 
 	// The series endpoint reflects sampler points (driven manually here;
-	// Start owns the ticker in live use).
-	s.Series().Sample(time.Second)
+	// the session's owner starts the ticker in live use).
+	series.Sample(time.Second)
 	code, body = get(t, ts.URL+"/series")
 	if code != 200 {
 		t.Fatalf("/series = %d", code)
 	}
-	var dump obs.SeriesDump
+	var dump FleetSeriesDump
 	if err := json.Unmarshal([]byte(body), &dump); err != nil {
 		t.Fatalf("/series not JSON: %v", err)
 	}
-	if dump.Backend != "vm" || len(dump.Points) != 1 || dump.Points[0].Total.Fires != 1 {
+	if len(dump.Sessions) != 1 {
 		t.Fatalf("/series = %+v", dump)
+	}
+	if d := dump.Sessions[0].Series; d.Backend != "vm" || len(d.Points) != 1 || d.Points[0].Total.Fires != 1 {
+		t.Fatalf("/series session = %+v", d)
+	}
+	if dump.Last.Fires != 1 {
+		t.Fatalf("/series last = %+v, want the running session's point", dump.Last)
 	}
 
 	// Two /metrics scrapes with activity in between: conformant and
@@ -81,7 +91,7 @@ func TestEndpointsServeLiveState(t *testing.T) {
 			t.Errorf("counter %s decreased across scrapes: %v -> %v", key, v1, second[key])
 		}
 	}
-	key := `cinnamon_probe_fires_total{backend="vm",probe="hot",trigger="before",mechanism="clean-call"}`
+	key := `cinnamon_probe_fires_total{` + one + `"vm",probe="hot",trigger="before",mechanism="clean-call"}`
 	if second[key] != first[key]+10 {
 		t.Fatalf("scrape delta = %v -> %v, want +10", first[key], second[key])
 	}
@@ -117,9 +127,10 @@ func readSSE(t *testing.T, r *bufio.Reader) sseEvent {
 func TestTraceSSEStreamsEventsAndAccountsDrops(t *testing.T) {
 	col := obs.New(obs.Options{TraceCap: 8})
 	id := col.RegisterProbe(obs.ProbeMeta{Label: "hot", Trigger: obs.TriggerBefore, Mechanism: obs.MechInlinedCall})
-	// A one-event client buffer plus a fast heartbeat makes slow-client
-	// drops both quick to provoke and quick to observe.
-	s := NewServer(Config{Collector: col, Backend: "vm", TraceBuf: 1, Heartbeat: 10 * time.Millisecond})
+	f, _ := fleetOfOne(t, col, "vm", nil)
+	// A one-event buffer plus a fast heartbeat makes slow-client drops
+	// both quick to provoke and quick to observe.
+	s := NewFleetServer(FleetConfig{Fleet: f, TraceBuf: 1, Heartbeat: 10 * time.Millisecond})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -142,8 +153,8 @@ func TestTraceSSEStreamsEventsAndAccountsDrops(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// Fire until the one-slot client buffer demonstrably overflowed. The
-	// run side never blocks: this loop is the VM's hot path standing in.
+	// Fire until the one-slot buffer demonstrably overflowed. The run
+	// side never blocks: this loop is the VM's hot path standing in.
 	fired := 0
 	for col.SubscriberDrops() == 0 {
 		col.Fire(id, 2, uint64(fired))
@@ -156,16 +167,16 @@ func TestTraceSSEStreamsEventsAndAccountsDrops(t *testing.T) {
 	// The stream must deliver real fire events and a heartbeat whose
 	// drop count surfaces the overflow.
 	sawFire := false
-	var hb heartbeat
+	var hb fleetHeartbeat
 	for i := 0; i < 1000; i++ {
 		ev := readSSE(t, br)
 		switch ev.name {
 		case "fire":
-			var te obs.TraceEvent
+			var te FleetTraceEvent
 			if err := json.Unmarshal([]byte(ev.data), &te); err != nil {
 				t.Fatalf("fire event not JSON: %q", ev.data)
 			}
-			if te.Probe != 1 || te.Cost != 2 {
+			if te.Session != "s1" || te.Probe != 1 || te.Cost != 2 {
 				t.Fatalf("fire event = %+v", te)
 			}
 			sawFire = true
@@ -174,8 +185,9 @@ func TestTraceSSEStreamsEventsAndAccountsDrops(t *testing.T) {
 				t.Fatalf("heartbeat not JSON: %q", ev.data)
 			}
 			if sawFire && hb.Dropped >= 1 {
-				if hb.Subscribers != 1 {
-					t.Fatalf("heartbeat subscribers = %d, want 1", hb.Subscribers)
+				if hb.Sessions != 1 || col.Subscribers() != 1 {
+					t.Fatalf("heartbeat sessions = %d, collector subscribers = %d, want 1 and 1",
+						hb.Sessions, col.Subscribers())
 				}
 				// Disconnect; the handler must unsubscribe and fold its
 				// drops into the collector's monotone total.
@@ -200,8 +212,12 @@ func TestTraceSSEStreamsEventsAndAccountsDrops(t *testing.T) {
 func TestStartServesAndShutdownReleasesStreams(t *testing.T) {
 	col := obs.New(obs.Options{TraceCap: 8})
 	col.RegisterProbe(obs.ProbeMeta{Label: "p", Trigger: obs.TriggerBefore, Mechanism: obs.MechCleanCall})
-	s := NewServer(Config{Collector: col, Backend: "vm", Interval: 10 * time.Millisecond, Heartbeat: 10 * time.Millisecond})
+	series := obs.NewSeries(col, "vm", obs.SeriesOptions{Interval: 10 * time.Millisecond})
+	f, _ := fleetOfOne(t, col, "vm", series)
+	s := NewFleetServer(FleetConfig{Fleet: f, Heartbeat: 10 * time.Millisecond})
 
+	// The session's owner runs its sampler; the server only reads it.
+	series.Start()
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +254,8 @@ func TestStartServesAndShutdownReleasesStreams(t *testing.T) {
 		t.Fatal("server still serving after Shutdown")
 	}
 	// The sampler took its final point and stopped.
-	if len(s.Series().Points()) == 0 {
+	series.Stop()
+	if len(series.Points()) == 0 {
 		t.Fatal("series has no points after a 10ms-interval run")
 	}
 }

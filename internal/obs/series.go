@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"sync"
 	"time"
 )
@@ -262,11 +260,4 @@ func (s *Series) Dump() *SeriesDump {
 		Dropped:     s.dropped,
 		Points:      out,
 	}
-}
-
-// WriteJSON writes the series dump as indented JSON.
-func (d *SeriesDump) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
 	"sync"
 	"testing"
@@ -133,12 +132,12 @@ func TestSeriesDumpJSONRoundTrip(t *testing.T) {
 	c.Fire(a, 2, 0x10)
 	s.Sample(100 * time.Millisecond)
 
-	var buf bytes.Buffer
-	if err := s.Dump().WriteJSON(&buf); err != nil {
+	buf, err := json.Marshal(s.Dump())
+	if err != nil {
 		t.Fatal(err)
 	}
 	var back SeriesDump
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+	if err := json.Unmarshal(buf, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Backend != "pin" || back.Cap != 4 || len(back.Points) != 1 {

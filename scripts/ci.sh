@@ -25,19 +25,22 @@
 #   governor   one reduced-scale run of the overhead-budget experiment
 #              (experiments -exp=governor): the governor must bring
 #              three action-heavy tools under 5% and 1% budgets
-#   monitor    live-monitoring smoke (scripts/monitorsmoke): a looping
-#              victim with -listen, scraped over real HTTP (/healthz,
-#              /metrics, one SSE event), then killed cleanly
-#   fleet      fleet-daemon smoke (scripts/fleetsmoke): cinnamond booted
-#              on an ephemeral port, 8 sessions submitted over the real
-#              POST /sessions API, /metrics scraped and the
+#   fleet      monitoring-server smoke (scripts/fleetsmoke): cinnamond
+#              booted on an ephemeral port, 8 sessions submitted over
+#              the real POST /sessions API, /metrics scraped and the
 #              cinnamon_fleet_* rollups asserted exactly equal to the
-#              per-session sums, then SIGTERM and a clean drain; plus
+#              per-session sums, then SIGTERM and a clean drain; then a
+#              looping victim under cinnamon -listen (a fleet of one),
+#              scraped over real HTTP (/healthz, /metrics, one SSE
+#              event, /sessions/s1/stats) and killed cleanly; plus
 #              the fleet perf gates (internal/bench/fleet_test.go): 32
 #              live sessions must sustain millions of probe fires/sec
 #              with the /metrics p99 under budget, and a session
 #              joining a warm fleet (primed artifact cache) must start
 #              >=5x faster than a cold one
+#   perfbench  the benchmark module (perfbench/, its own Go module, so
+#              the root build never compiles it): vet plus its smoke
+#              and BENCHMARK.json-consistency tests
 #   conform    differential conformance sweep (cmd/conformance): 200
 #              seeded generated (program, victim) pairs cross-checked
 #              over all three backends and both execution tiers; any
@@ -94,10 +97,7 @@ CINNAMON_PERF_GATE=1 go test -run TestIROptDispatchSpeedup -count=1 ./internal/c
 echo "==> governor bench smoke (budget sweep)"
 go run ./cmd/experiments -exp=governor -benchmark=mcf -scale=0.2 >/dev/null
 
-echo "==> live-monitoring smoke"
-go run ./scripts/monitorsmoke
-
-echo "==> fleet-daemon smoke"
+echo "==> monitoring-server smoke (cinnamond + cinnamon -listen)"
 go run ./scripts/fleetsmoke
 
 echo "==> fleet snapshot-latency perf gate"
@@ -105,6 +105,10 @@ CINNAMON_PERF_GATE=1 go test -run TestFleetSnapshotLatencyGate -count=1 ./intern
 
 echo "==> fleet warm-startup perf gate"
 CINNAMON_PERF_GATE=1 go test -run TestFleetWarmStartupGate -count=1 ./internal/bench/
+
+echo "==> benchmark module (perfbench vet + test)"
+go -C perfbench vet ./...
+go -C perfbench test -count=1 ./...
 
 echo "==> differential conformance sweep (200 seeds)"
 go run ./cmd/conformance -seeds 200 -budget 30s

@@ -1,14 +1,22 @@
-// Command fleetsmoke is the CI smoke test for the fleet daemon: it
-// builds cinnamond, boots it on an ephemeral port, submits 8 sessions
-// over the real POST /sessions API, waits for them to settle, scrapes
-// /metrics and asserts the fleet rollups are exactly the sum of the
-// per-session series, checks the lifecycle and readiness endpoints,
-// asserts the shared artifact cache surfaced hits/misses in /metrics
-// and cold/warm build sources in /sessions, and finally SIGTERMs the
-// daemon and verifies it drains and exits cleanly.
-// Like monitorsmoke, it exercises the operator path — real binary, real
-// flags, real HTTP — so a wiring regression in cmd/cinnamond fails CI
-// even if every package test passes.
+// Command fleetsmoke is the CI smoke test for the monitoring server,
+// driven the way an operator drives it — real binaries, real flags,
+// real HTTP — so a wiring regression in cmd/cinnamond or cmd/cinnamon
+// fails CI even if every package test passes. It runs two phases:
+//
+//   - daemon: builds cinnamond, boots it on an ephemeral port, submits 8
+//     sessions over the real POST /sessions API, waits for them to
+//     settle, scrapes /metrics and asserts the fleet rollups are exactly
+//     the sum of the per-session series, checks the lifecycle and
+//     readiness endpoints, asserts the shared artifact cache surfaced
+//     hits/misses in /metrics and cold/warm build sources in /sessions,
+//     and finally SIGTERMs the daemon and verifies it drains and exits
+//     cleanly.
+//   - single run: builds cinnamon and starts a live-monitored session
+//     (looping victim, -listen on an ephemeral port), which serves its
+//     run as session s1 of a fleet of one; scrapes /healthz and
+//     /metrics, reads one event off the SSE /trace stream, reads
+//     /sessions/s1/stats, then kills the session and verifies it dies
+//     cleanly.
 //
 // Run from the repository root (scripts/ci.sh does):
 //
@@ -47,28 +55,50 @@ func run() error {
 		return err
 	}
 	defer os.RemoveAll(tmp)
-	bin := filepath.Join(tmp, "cinnamond")
-
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/cinnamond").CombinedOutput(); err != nil {
-		return fmt.Errorf("build cinnamond: %v\n%s", err, out)
+	if err := daemonPhase(tmp); err != nil {
+		return fmt.Errorf("cinnamond: %w", err)
 	}
+	if err := singleRunPhase(tmp); err != nil {
+		return fmt.Errorf("cinnamon -listen: %w", err)
+	}
+	return nil
+}
 
-	cmd := exec.Command(bin, "-listen=127.0.0.1:0", "-workers=4", "-interval=100ms", "-drain-timeout=10s")
+// start builds the command package pkg into dir, starts it with args
+// and returns the process plus the base URL it announced on stderr
+// after marker.
+func start(dir, pkg, marker string, args ...string) (*exec.Cmd, string, error) {
+	bin := filepath.Join(dir, filepath.Base(pkg))
+	if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
+		return nil, "", fmt.Errorf("build %s: %v\n%s", pkg, err, out)
+	}
+	cmd := exec.Command(bin, args...)
 	cmd.Stdout = io.Discard
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
-		return err
+		return nil, "", err
 	}
 	if err := cmd.Start(); err != nil {
-		return err
+		return nil, "", err
 	}
-	defer cmd.Process.Kill()
+	addr, err := scanAddr(stderr, marker)
+	if err != nil {
+		cmd.Process.Kill()
+		cmd.Wait()
+		return nil, "", err
+	}
+	return cmd, "http://" + addr, nil
+}
 
-	addr, err := scanAddr(stderr)
+// daemonPhase drives cinnamond through submission, settling, scraping
+// and a SIGTERM drain.
+func daemonPhase(tmp string) error {
+	cmd, base, err := start(tmp, "./cmd/cinnamond", "fleet monitor listening on http://",
+		"-listen=127.0.0.1:0", "-workers=4", "-interval=100ms", "-drain-timeout=10s")
 	if err != nil {
 		return err
 	}
-	base := "http://" + addr
+	defer cmd.Process.Kill()
 
 	if err := expectStatus(base+"/healthz/live", http.StatusOK); err != nil {
 		return err
@@ -234,6 +264,81 @@ func run() error {
 	return nil
 }
 
+// singleRunPhase drives one live-monitored cinnamon run: a fleet of one.
+func singleRunPhase(tmp string) error {
+	// A long-looping victim so the session outlives the smoke checks.
+	cmd, base, err := start(tmp, "./cmd/cinnamon", "monitor listening on http://",
+		"-backend=pin", "-target=victim:uaf_bug",
+		"-listen=127.0.0.1:0", "-interval=100ms", "-loop=2000000",
+		"@useafterfree")
+	if err != nil {
+		return err
+	}
+	defer cmd.Process.Kill()
+
+	body, err := get(base + "/healthz")
+	if err != nil {
+		return err
+	}
+	if !strings.Contains(body, "ok") {
+		return fmt.Errorf("/healthz: got %q, want ok", body)
+	}
+	// The monitor comes up before the instrumented run starts, so the
+	// first scrapes may predate probe registration; poll until the run
+	// is visibly firing.
+	deadline := time.Now().Add(30 * time.Second)
+	var metrics string
+	for {
+		metrics, err = get(base + "/metrics")
+		if err != nil {
+			return err
+		}
+		if strings.Contains(metrics, "# TYPE cinnamon_probe_fires_total counter") {
+			break
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("/metrics never showed probe fires:\n%s", metrics)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	if !strings.Contains(metrics, `session="s1"`) || !strings.Contains(metrics, `backend="pin"`) {
+		return fmt.Errorf("/metrics missing the session s1 labels:\n%s", metrics)
+	}
+
+	if err := readOneSSEEvent(base + "/trace"); err != nil {
+		return err
+	}
+
+	body, err = get(base + "/sessions/s1/stats")
+	if err != nil {
+		return err
+	}
+	var stats struct {
+		Backend    string `json:"backend"`
+		TotalFires uint64 `json:"total_fires"`
+	}
+	if err := json.Unmarshal([]byte(body), &stats); err != nil {
+		return fmt.Errorf("/sessions/s1/stats: %v (%s)", err, body)
+	}
+	if stats.Backend != "pin" || stats.TotalFires == 0 {
+		return fmt.Errorf("/sessions/s1/stats = %+v, want a firing pin session", stats)
+	}
+
+	// Clean shutdown: the process must die on signal, not hang on the
+	// monitor server.
+	if err := cmd.Process.Kill(); err != nil {
+		return err
+	}
+	done := make(chan struct{})
+	go func() { cmd.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		return fmt.Errorf("session did not exit within 10s of kill")
+	}
+	return nil
+}
+
 type sessionInfo struct {
 	Session     string `json:"session"`
 	State       string `json:"state"`
@@ -273,10 +378,9 @@ func parseSamples(text string) map[string]float64 {
 	return out
 }
 
-// scanAddr reads the daemon's stderr until it announces its bound
-// address.
-func scanAddr(stderr io.Reader) (string, error) {
-	const marker = "fleet monitor listening on http://"
+// scanAddr reads a process's stderr until it announces its bound
+// address after marker.
+func scanAddr(stderr io.Reader, marker string) (string, error) {
 	type res struct {
 		addr string
 		err  error
@@ -288,19 +392,19 @@ func scanAddr(stderr io.Reader) (string, error) {
 			line := sc.Text()
 			if i := strings.Index(line, marker); i >= 0 {
 				ch <- res{addr: strings.TrimSpace(line[i+len(marker):])}
-				// Keep draining so the daemon never blocks on stderr.
+				// Keep draining so the process never blocks on stderr.
 				for sc.Scan() {
 				}
 				return
 			}
 		}
-		ch <- res{err: fmt.Errorf("fleet address never announced (stderr closed)")}
+		ch <- res{err: fmt.Errorf("address never announced (stderr closed)")}
 	}()
 	select {
 	case r := <-ch:
 		return r.addr, r.err
 	case <-time.After(30 * time.Second):
-		return "", fmt.Errorf("timed out waiting for the fleet address")
+		return "", fmt.Errorf("timed out waiting for the monitor address")
 	}
 }
 
@@ -332,4 +436,34 @@ func expectStatus(url string, want int) error {
 		return fmt.Errorf("GET %s: status %d, want %d", url, resp.StatusCode, want)
 	}
 	return nil
+}
+
+// readOneSSEEvent connects to the SSE stream and waits for one complete
+// event (a probe firing or a heartbeat — either proves the stream is
+// alive and framed correctly).
+func readOneSSEEvent(url string) error {
+	client := &http.Client{Timeout: 15 * time.Second} // bounds the body read too
+	resp, err := client.Get(url)
+	if err != nil {
+		return fmt.Errorf("GET %s: %w", url, err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		return fmt.Errorf("%s: Content-Type %q, want text/event-stream", url, ct)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	name := ""
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "event: "):
+			name = strings.TrimPrefix(line, "event: ")
+		case line == "" && name != "":
+			if name != "fire" && name != "heartbeat" {
+				return fmt.Errorf("unexpected SSE event %q", name)
+			}
+			return nil
+		}
+	}
+	return fmt.Errorf("%s: no SSE event (%v)", url, sc.Err())
 }
