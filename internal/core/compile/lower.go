@@ -1,7 +1,9 @@
 package compile
 
-// The lowering pass: every AST statement and expression becomes one
-// pre-bound closure. Lowering mirrors the tree-walking interpreter
+// The lowering walk: every AST statement and expression becomes one
+// pre-bound closure. Statements try the unboxed productions of scalar.go
+// first and fall back to the boxed Value productions below, which set
+// compiler.boxed. Lowering mirrors the tree-walking interpreter
 // (internal/core/interp) exactly — same evaluation order, same coercions,
 // same runtime error messages and positions — so that switching a tool
 // between execution paths is unobservable. Where the interpreter resolves
@@ -24,12 +26,30 @@ func errf(pos token.Pos, format string, args ...any) error {
 	return &interp.RuntimeError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
+func errArrayIndex(pos token.Pos, i int64, n int) error {
+	return errf(pos, "array index %d out of range [0,%d)", i, n)
+}
+
+func errNotMaterialized(pos token.Pos, key string) error {
+	return errf(pos, "dynamic attribute %s not materialized (is this running outside a probe?)", key)
+}
+
 func (c *compiler) compileStmts(stmts []ast.Stmt) []stmtFn {
 	out := make([]stmtFn, 0, len(stmts))
 	for _, s := range stmts {
 		out = append(out, c.compileStmt(s))
 	}
 	return out
+}
+
+// runStmts executes a compiled statement list, stopping at the first error.
+func runStmts(fr *frame, stmts []stmtFn) error {
+	for _, f := range stmts {
+		if err := f(fr); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (c *compiler) compileStmt(s ast.Stmt) stmtFn {
@@ -39,13 +59,18 @@ func (c *compiler) compileStmt(s ast.Stmt) stmtFn {
 	case *ast.AssignStmt:
 		return c.compileAssign(st)
 	case *ast.ExprStmt:
+		if call, ok := st.X.(*ast.CallExpr); ok {
+			if fun, ok := call.Fun.(*ast.Ident); ok && fun.Name == "print" {
+				return c.compilePrint(call)
+			}
+		}
 		x := c.compileExpr(st.X)
 		return func(fr *frame) error {
 			_, err := x(fr)
 			return err
 		}
 	case *ast.IfStmt:
-		cond := c.compileExpr(st.Cond)
+		cond := c.compileCond(st.Cond)
 		c.pushScope()
 		then := c.compileStmts(st.Then)
 		c.popScope()
@@ -53,20 +78,14 @@ func (c *compiler) compileStmt(s ast.Stmt) stmtFn {
 		els := c.compileStmts(st.Else)
 		c.popScope()
 		return func(fr *frame) error {
-			v, err := cond(fr)
+			ok, err := cond(fr)
 			if err != nil {
 				return err
 			}
-			branch := then
-			if !v.AsBool() {
-				branch = els
+			if ok {
+				return runStmts(fr, then)
 			}
-			for _, f := range branch {
-				if err := f(fr); err != nil {
-					return err
-				}
-			}
-			return nil
+			return runStmts(fr, els)
 		}
 	case *ast.ForStmt:
 		// The for header lives in its own scope; the body opens another
@@ -76,9 +95,9 @@ func (c *compiler) compileStmt(s ast.Stmt) stmtFn {
 		if st.Init != nil {
 			init = c.compileStmt(st.Init)
 		}
-		var cond exprFn
+		var cond boolFn
 		if st.Cond != nil {
-			cond = c.compileExpr(st.Cond)
+			cond = c.compileCond(st.Cond)
 		}
 		c.pushScope()
 		body := c.compileStmts(st.Body)
@@ -100,18 +119,13 @@ func (c *compiler) compileStmt(s ast.Stmt) stmtFn {
 					return errf(pos, "for statement exceeded %d iterations", interp.MaxLoopIters)
 				}
 				if cond != nil {
-					v, err := cond(fr)
-					if err != nil {
+					ok, err := cond(fr)
+					if err != nil || !ok {
 						return err
-					}
-					if !v.AsBool() {
-						return nil
 					}
 				}
-				for _, f := range body {
-					if err := f(fr); err != nil {
-						return err
-					}
+				if err := runStmts(fr, body); err != nil {
+					return err
 				}
 				if post != nil {
 					if err := post(fr); err != nil {
@@ -121,22 +135,50 @@ func (c *compiler) compileStmt(s ast.Stmt) stmtFn {
 			}
 		}
 	}
+	c.boxed = true
 	pos := s.Pos()
 	return func(*frame) error { return errf(pos, "invalid statement") }
+}
+
+// compileCond lowers a condition to its truth coercion.
+func (c *compiler) compileCond(e ast.Expr) boolFn {
+	if b := c.boolExpr(e); b != nil {
+		return b
+	}
+	x := c.compileExpr(e)
+	return func(fr *frame) (bool, error) {
+		v, err := x(fr)
+		return v.AsBool(), err
+	}
 }
 
 func (c *compiler) compileDecl(d *ast.VarDecl) stmtFn {
 	t := c.info.DeclTypes[d]
 	if t == nil {
+		c.boxed = true
 		pos, name := d.P, d.Name
 		return func(*frame) error {
 			return errf(pos, "internal: declaration %s has no type", name)
 		}
 	}
+	if d.Init == nil {
+		idx := c.defineLocal(d.Name)
+		if t.IsNumeric() {
+			return func(fr *frame) error {
+				fr.locals[idx] = value.Value{Kind: value.KInt}
+				return nil
+			}
+		}
+		c.boxed = true
+		return func(fr *frame) error {
+			fr.locals[idx] = interp.ZeroValue(t)
+			return nil
+		}
+	}
 	// The initializer is compiled before the name is defined: a
 	// declaration cannot reference itself, it sees the outer binding.
-	if d.Init != nil && t.IsNumeric() {
-		if ifn := c.compileIntExpr(d.Init); ifn != nil {
+	if t.IsNumeric() {
+		if ifn := c.intExpr(d.Init); ifn != nil {
 			idx := c.defineLocal(d.Name)
 			return func(fr *frame) error {
 				n, err := ifn(fr)
@@ -148,17 +190,8 @@ func (c *compiler) compileDecl(d *ast.VarDecl) stmtFn {
 			}
 		}
 	}
-	var initFn exprFn
-	if d.Init != nil {
-		initFn = c.compileExpr(d.Init)
-	}
+	initFn := c.compileExpr(d.Init)
 	idx := c.defineLocal(d.Name)
-	if initFn == nil {
-		return func(fr *frame) error {
-			fr.locals[idx] = interp.ZeroValue(t)
-			return nil
-		}
-	}
 	return func(fr *frame) error {
 		iv, err := initFn(fr)
 		if err != nil {
@@ -170,36 +203,8 @@ func (c *compiler) compileDecl(d *ast.VarDecl) stmtFn {
 }
 
 func (c *compiler) compileAssign(st *ast.AssignStmt) stmtFn {
-	// Numeric-typed scalar assignment is the hot statement of every
-	// counting tool; when the RHS lowers to the scalar tier, Convert
-	// (IntVal of AsInt for numeric types) collapses into boxing the
-	// already-coerced int64 straight into the slot.
-	if lhs, ok := st.LHS.(*ast.Ident); ok {
-		if t := c.info.Types[st.LHS]; t != nil && t.IsNumeric() {
-			if sl, ok := c.resolve(lhs.Name); ok {
-				if ifn := c.compileIntExpr(st.RHS); ifn != nil {
-					idx := sl.idx
-					if sl.local {
-						return func(fr *frame) error {
-							n, err := ifn(fr)
-							if err != nil {
-								return err
-							}
-							fr.locals[idx] = value.Value{Kind: value.KInt, Int: n}
-							return nil
-						}
-					}
-					return func(fr *frame) error {
-						n, err := ifn(fr)
-						if err != nil {
-							return err
-						}
-						*fr.cells[idx] = value.Value{Kind: value.KInt, Int: n}
-						return nil
-					}
-				}
-			}
-		}
+	if f := c.scalarAssign(st); f != nil {
+		return f
 	}
 	// The RHS evaluates before the target resolves, as in the interpreter.
 	rhs := c.compileExpr(st.RHS)
@@ -216,44 +221,24 @@ func (c *compiler) compileAssign(st *ast.AssignStmt) stmtFn {
 				return errf(pos, "undefined: %s", name)
 			}
 		}
-		idx := sl.idx
-		switch {
-		case sl.local && t != nil:
+		store := loadSlot(sl)
+		if t == nil {
 			return func(fr *frame) error {
 				v, err := rhs(fr)
 				if err != nil {
 					return err
 				}
-				fr.locals[idx] = interp.Convert(v, t)
+				*store(fr) = v
 				return nil
 			}
-		case sl.local:
-			return func(fr *frame) error {
-				v, err := rhs(fr)
-				if err != nil {
-					return err
-				}
-				fr.locals[idx] = v
-				return nil
+		}
+		return func(fr *frame) error {
+			v, err := rhs(fr)
+			if err != nil {
+				return err
 			}
-		case t != nil:
-			return func(fr *frame) error {
-				v, err := rhs(fr)
-				if err != nil {
-					return err
-				}
-				*fr.cells[idx] = interp.Convert(v, t)
-				return nil
-			}
-		default:
-			return func(fr *frame) error {
-				v, err := rhs(fr)
-				if err != nil {
-					return err
-				}
-				*fr.cells[idx] = v
-				return nil
-			}
+			*store(fr) = interp.Convert(v, t)
+			return nil
 		}
 	case *ast.IndexExpr:
 		base := c.compileExpr(lhs.X)
@@ -280,7 +265,7 @@ func (c *compiler) compileAssign(st *ast.AssignStmt) stmtFn {
 			case value.KArray:
 				i := iv.AsInt()
 				if i < 0 || i >= int64(len(bv.Arr.Elems)) {
-					return errf(pos, "array index %d out of range [0,%d)", i, len(bv.Arr.Elems))
+					return errArrayIndex(pos, i, len(bv.Arr.Elems))
 				}
 				bv.Arr.Elems[i] = interp.Convert(rv, elemT)
 				return nil
@@ -304,6 +289,149 @@ func (c *compiler) compileAssign(st *ast.AssignStmt) stmtFn {
 	}
 }
 
+// scalarAssign lowers a numeric store whose RHS (and, for a container
+// element, index) has an unboxed production, or returns nil. The store
+// boxes the already-coerced int64 straight into the slot: Convert to a
+// numeric type is IntVal of AsInt.
+func (c *compiler) scalarAssign(st *ast.AssignStmt) stmtFn {
+	switch lhs := st.LHS.(type) {
+	case *ast.Ident:
+		t := c.info.Types[st.LHS]
+		if t == nil || !t.IsNumeric() {
+			return nil
+		}
+		sl, ok := c.resolve(lhs.Name)
+		if !ok {
+			return nil
+		}
+		rhs := c.intExpr(st.RHS)
+		if rhs == nil {
+			return nil
+		}
+		store := loadSlot(sl)
+		return func(fr *frame) error {
+			n, err := rhs(fr)
+			if err != nil {
+				return err
+			}
+			*store(fr) = value.Value{Kind: value.KInt, Int: n}
+			return nil
+		}
+	case *ast.IndexExpr:
+		t, load, ok := c.scalarContainer(lhs.X)
+		if !ok {
+			return nil
+		}
+		rhs := c.intExpr(st.RHS)
+		if rhs == nil {
+			return nil
+		}
+		index := c.intExpr(lhs.Index)
+		if index == nil {
+			return nil
+		}
+		pos := lhs.P
+		// Evaluation order as on the boxed path: RHS, base, index.
+		switch t.Kind {
+		case types.Dict:
+			return func(fr *frame) error {
+				n, err := rhs(fr)
+				if err != nil {
+					return err
+				}
+				bv := load(fr)
+				k, err := index(fr)
+				if err != nil {
+					return err
+				}
+				if bv.Kind != value.KDict {
+					return errf(pos, "value is not indexable")
+				}
+				bv.Dict.M[value.DictKey{I: k}] = value.Value{Kind: value.KInt, Int: n}
+				return nil
+			}
+		case types.Array:
+			return func(fr *frame) error {
+				n, err := rhs(fr)
+				if err != nil {
+					return err
+				}
+				bv := load(fr)
+				i, err := index(fr)
+				if err != nil {
+					return err
+				}
+				if bv.Kind != value.KArray {
+					return errf(pos, "value is not indexable")
+				}
+				if i < 0 || i >= int64(len(bv.Arr.Elems)) {
+					return errArrayIndex(pos, i, len(bv.Arr.Elems))
+				}
+				bv.Arr.Elems[i] = value.Value{Kind: value.KInt, Int: n}
+				return nil
+			}
+		case types.Vector:
+			return func(fr *frame) error {
+				n, err := rhs(fr)
+				if err != nil {
+					return err
+				}
+				bv := load(fr)
+				i, err := index(fr)
+				if err != nil {
+					return err
+				}
+				if bv.Kind != value.KVector {
+					return errf(pos, "value is not indexable")
+				}
+				if i < 0 || i >= int64(len(bv.Vec.Elems)) {
+					return errf(pos, "vector index %d out of range [0,%d)", i, len(bv.Vec.Elems))
+				}
+				bv.Vec.Elems[i] = value.Value{Kind: value.KInt, Int: n}
+				return nil
+			}
+		}
+	}
+	return nil
+}
+
+// compilePrint lowers print(args...). Each argument takes its unboxed
+// rendering when it has one and Value.String of the boxed value
+// otherwise. The line is assembled in the frame's buffer, never in one
+// captured by the closure, so bindings of one body may print
+// concurrently.
+func (c *compiler) compilePrint(x *ast.CallExpr) stmtFn {
+	args := make([]strFn, len(x.Args))
+	for i, a := range x.Args {
+		if args[i] = c.strArg(a); args[i] == nil {
+			v := c.compileExpr(a)
+			args[i] = func(fr *frame) (string, error) {
+				bv, err := v(fr)
+				return bv.String(), err
+			}
+		}
+	}
+	return func(fr *frame) error {
+		// A print nested in an argument gets a buffer of its own.
+		line := fr.line[:0]
+		fr.line = nil
+		for i, a := range args {
+			s, err := a(fr)
+			if err != nil {
+				return err
+			}
+			if i > 0 {
+				line = append(line, ' ')
+			}
+			line = append(line, s...)
+		}
+		line = append(line, '\n')
+		fr.out.Write(line)
+		fr.line = line
+		return nil
+	}
+}
+
 func (c *compiler) elemTypeOf(base ast.Expr) *types.Type {
 	if t := c.info.Types[base]; t != nil && t.Elem != nil {
 		return t.Elem
@@ -320,7 +448,10 @@ func errFn(pos token.Pos, format string, args ...any) exprFn {
 	return func(*frame) (value.Value, error) { return value.Null, err }
 }
 
+// compileExpr lowers e to the boxed Value production. Reaching it at all
+// means the body boxes.
 func (c *compiler) compileExpr(e ast.Expr) exprFn {
+	c.boxed = true
 	switch x := e.(type) {
 	case *ast.IntLit:
 		return constFn(value.IntVal(x.Val))
@@ -371,7 +502,7 @@ func (c *compiler) compileExpr(e ast.Expr) exprFn {
 			case value.KArray:
 				i := iv.AsInt()
 				if i < 0 || i >= int64(len(bv.Arr.Elems)) {
-					return value.Null, errf(pos, "array index %d out of range [0,%d)", i, len(bv.Arr.Elems))
+					return value.Null, errArrayIndex(pos, i, len(bv.Arr.Elems))
 				}
 				return bv.Arr.Elems[i], nil
 			}
@@ -436,22 +567,20 @@ func (c *compiler) compileExpr(e ast.Expr) exprFn {
 
 func (c *compiler) compileField(x *ast.FieldExpr) exprFn {
 	if c.info.DynamicExprs[x] {
-		id, ok := x.X.(*ast.Ident)
-		if !ok {
+		if _, ok := x.X.(*ast.Ident); !ok {
 			return errFn(x.P, "internal: dynamic attribute on non-identifier")
 		}
-		attr := strings.ToLower(x.Name)
-		key := id.Name + "." + attr
-		idx, ok := c.dynSlot(id.Name, attr)
+		idx, key, ok := c.dynAttr(x)
 		if !ok {
 			// No slot: the body has no probe context for this attribute
 			// (an init/exit block, or a mismatched CFE variable).
-			return errFn(x.P, "dynamic attribute %s not materialized (is this running outside a probe?)", key)
+			err := errNotMaterialized(x.P, key)
+			return func(*frame) (value.Value, error) { return value.Null, err }
 		}
 		pos := x.P
 		return func(fr *frame) (value.Value, error) {
 			if idx >= len(fr.dyn) {
-				return value.Null, errf(pos, "dynamic attribute %s not materialized (is this running outside a probe?)", key)
+				return value.Null, errNotMaterialized(pos, key)
 			}
 			return fr.dyn[idx], nil
 		}
@@ -475,22 +604,8 @@ func (c *compiler) compileCall(x *ast.CallExpr) exprFn {
 	case *ast.Ident:
 		switch fun.Name {
 		case "print":
-			args := make([]exprFn, len(x.Args))
-			for i, a := range x.Args {
-				args[i] = c.compileExpr(a)
-			}
-			return func(fr *frame) (value.Value, error) {
-				parts := make([]string, 0, len(args))
-				for _, a := range args {
-					v, err := a(fr)
-					if err != nil {
-						return value.Null, err
-					}
-					parts = append(parts, v.String())
-				}
-				fmt.Fprintln(fr.out, strings.Join(parts, " "))
-				return value.Value{}, nil
-			}
+			p := c.compilePrint(x)
+			return func(fr *frame) (value.Value, error) { return value.Null, p(fr) }
 		case "writeToFile":
 			file := c.compileExpr(x.Args[0])
 			val := c.compileExpr(x.Args[1])
@@ -604,10 +719,10 @@ func (c *compiler) compileMethod(x *ast.CallExpr, fun *ast.FieldExpr) exprFn {
 
 func (c *compiler) compileBinary(x *ast.BinaryExpr) exprFn {
 	// Arithmetic results are IntVal(f(l.AsInt(), r.AsInt())) by
-	// definition, so when the whole subtree lowers to the scalar tier the
-	// generic consumer just boxes the final int64 (one Value instead of
-	// one per closure boundary).
-	if ifn := c.compileIntExpr(x); ifn != nil {
+	// definition, so when the whole subtree has an unboxed production the
+	// boxed consumer just boxes the final int64 (one Value instead of one
+	// per closure boundary).
+	if ifn := c.intBinary(x); ifn != nil {
 		return func(fr *frame) (value.Value, error) {
 			n, err := ifn(fr)
 			if err != nil {

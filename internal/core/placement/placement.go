@@ -92,8 +92,8 @@ func (m Mechanism) String() string {
 	return fmt.Sprintf("mechanism(%d)", uint8(m))
 }
 
-// InlineInfo describes an action's compiled fast path (see
-// internal/core/compile's whole-body fast tier).
+// InlineInfo describes an action's compiled fast path: a body that
+// never boxes a Value (see compile.Bound.FastExec).
 type InlineInfo struct {
 	// Exec is the specialized executor: observably identical to
 	// Action.Exec — same stores, same output, same error recording.
