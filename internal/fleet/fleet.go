@@ -312,16 +312,19 @@ func (s *Scheduler) Submit(spec JobSpec) (*monitor.FleetSession, error) {
 		return nil, err
 	}
 	t := &task{spec: spec, sess: sess, tool: tool, prog: prog, cache: cache}
+	// The sampler starts before the task is queued: a worker may settle
+	// the task, and so stop the sampler, as soon as it is queued.
+	series.Start()
 	select {
 	case s.queue <- t:
 	default:
 		s.mu.Unlock()
 		sess.Finish(monitor.SessionFailed, 0, 0, "queue full")
+		series.Stop()
 		return sess, fmt.Errorf("fleet: queue full (%d queued)", s.cfg.Queue)
 	}
 	s.tasks = append(s.tasks, t)
 	s.mu.Unlock()
-	series.Start()
 	return sess, nil
 }
 
