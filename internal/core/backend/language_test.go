@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core/engine"
 	"repro/internal/progs"
+	"repro/internal/vm"
 )
 
 // Full-pipeline tests of language features the case studies do not
@@ -249,6 +250,45 @@ exit {
 	out := runSrc(t, src, mixedApp, Dyninst)
 	if strings.TrimSpace(out) != "main" {
 		t.Errorf("output = %q, want main", out)
+	}
+}
+
+func TestDictKeysFollowDeclaredType(t *testing.T) {
+	// A line key on a dict<int,int> converts to the number it spells, so
+	// d[l] and d[5] are one entry on every backend, VM tier and action
+	// execution path.
+	src := `
+file f("keys.txt");
+dict<int,int> d;
+module M where (M.isexecutable) {
+  writeToFile(f, 5);
+}
+init {
+  line l = f.getline();
+  d[l] = 7;
+  print(d[5]);
+  print(d.size());
+  d[5] = 9;
+  print(d.size());
+}
+`
+	tool, err := engine.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := loadSrc(t, mixedApp)
+	for _, b := range Backends() {
+		for _, mode := range []vm.ExecMode{vm.ExecTranslated, vm.ExecInterpreted} {
+			for _, interpret := range []bool{false, true} {
+				var out bytes.Buffer
+				if _, err := Run(tool, prog, b, Options{Out: &out, VMMode: mode, Interpret: interpret}); err != nil {
+					t.Fatalf("%s: %v", b, err)
+				}
+				if got := strings.Fields(out.String()); strings.Join(got, " ") != "7 1 1" {
+					t.Errorf("%s mode %v interpret %v: output = %q, want 7 1 1", b, mode, interpret, out.String())
+				}
+			}
+		}
 	}
 }
 

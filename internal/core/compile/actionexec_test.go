@@ -4,11 +4,15 @@ package compile_test
 // up: executing one action body, with the placement machinery factored
 // out. A capturing placer grabs an action as the engine places it, and
 // the benchmark fires that action directly — once per op — under the
-// tree-walking interpreter and under the compiled closures. Two inputs:
-// the basic-block counting action (Figure 5b), whose body is all scalar,
-// and loop coverage's `entry L` action (Figure 6), whose whole body
-// boxes: every dict access is keyed by the static attribute `L.id`,
-// and `loop_ids.add` boxes too.
+// tree-walking interpreter and under the compiled closures. Three inputs:
+// the basic-block counting action (Figure 5b), whose body is all scalar;
+// loop coverage's `entry L` action (Figure 6), whose whole body boxes:
+// every dict access is keyed by the static attribute `L.id`, and
+// `loop_ids.add` boxes too; and loop coverage's `entry B` action, a
+// scalar body that per firing walks the vector loop_ids and reads the
+// dicts live and loop_blocks through their typed int64 storage. Its
+// state is bounded: the keys come from loop_ids, which the entry actions
+// fill once before timing.
 // TestCompiledActionExecSpeedup holds the compiled path on the first
 // input to the advertised bar: at least 3x fewer ns/op and allocations
 // per firing.
@@ -49,20 +53,23 @@ func (p *capturePlacer) Lower(rs *placement.RuleSet) error {
 	return nil
 }
 
-// actionInput names a case-study tool, the target it instruments, and
-// the label prefix of the placed action to fire.
+// actionInput names a case-study tool, the target it instruments, the
+// label prefix of the placed action to fire, and optionally the label
+// prefix of actions to fire once, before it, to set up state.
 type actionInput struct {
-	tool, target, label string
+	tool, target, label, setup string
 }
 
 var (
-	bbAction        = actionInput{progs.InstCountBB, "src:loads", ""}
-	loopEntryAction = actionInput{progs.LoopCoverage, "loopy", "entry loop @11:3"}
+	bbAction        = actionInput{tool: progs.InstCountBB, target: "src:loads"}
+	loopEntryAction = actionInput{tool: progs.LoopCoverage, target: "loopy", label: "entry loop @11:3"}
+	loopBlockAction = actionInput{tool: progs.LoopCoverage, target: "loopy", label: "entry basicblock @23:3", setup: "entry loop @11:3"}
 )
 
-// placeAction instruments the input's target with its tool and returns
-// the first placed action whose label has the input's prefix, plus the
-// instance (to check for recorded runtime errors afterwards).
+// placeAction instruments the input's target with its tool, fires the
+// input's setup actions once, and returns the first placed action whose
+// label has the input's prefix, plus the instance (to check for recorded
+// runtime errors afterwards).
 func placeAction(tb testing.TB, in actionInput, interpret bool) (*placement.Action, *engine.Instance) {
 	tb.Helper()
 	tool, err := engine.Compile(progs.MustSource(in.tool))
@@ -74,6 +81,13 @@ func placeAction(tb testing.TB, in actionInput, interpret bool) (*placement.Acti
 	inst, err := engine.Instrument(tool, prog, pl, engine.Options{Out: io.Discard, Interpret: interpret})
 	if err != nil {
 		tb.Fatal(err)
+	}
+	if in.setup != "" {
+		for _, a := range pl.actions {
+			if strings.HasPrefix(a.Label, in.setup) {
+				a.Exec(nil)
+			}
+		}
 	}
 	for _, a := range pl.actions {
 		if strings.HasPrefix(a.Label, in.label) {
@@ -87,8 +101,8 @@ func placeAction(tb testing.TB, in actionInput, interpret bool) (*placement.Acti
 func benchActionExec(in actionInput, interpret bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		a, inst := placeAction(b, in, interpret)
-		// Every dynamic attribute reads 1 (the loop-entry action has
-		// none: `L.id` is static).
+		// Every dynamic attribute reads 1 (the loop-coverage actions
+		// have none: `L.id` is static).
 		dyn := make([]value.Value, len(a.DynAttrs))
 		for i := range dyn {
 			dyn[i] = value.IntVal(1)
@@ -110,6 +124,8 @@ func BenchmarkActionExec(b *testing.B) {
 	b.Run("compiled", benchActionExec(bbAction, false))
 	b.Run("loop-entry/interp", benchActionExec(loopEntryAction, true))
 	b.Run("loop-entry/compiled", benchActionExec(loopEntryAction, false))
+	b.Run("loop-block/interp", benchActionExec(loopBlockAction, true))
+	b.Run("loop-block/compiled", benchActionExec(loopBlockAction, false))
 }
 
 // TestCompiledActionExecSpeedup enforces the perf contract of the

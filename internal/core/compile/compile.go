@@ -22,8 +22,10 @@
 //     materialized attribute slots;
 //   - one closure per node, chosen per node: where sem's static types
 //     guarantee an integer- or bool-shaped value, the node lowers to an
-//     unboxed int64/bool production (scalar.go) that boxes a Value only at
-//     stores; otherwise it lowers to the boxed Value production (lower.go).
+//     unboxed int64/bool production (scalar.go) that reads and writes the
+//     typed int64 storage of numeric containers directly and boxes a Value
+//     only at slot stores; otherwise it lowers to the boxed Value
+//     production (lower.go).
 //     Executing a body is a chain of direct calls with no AST dispatch, no
 //     map lookups, and no per-firing allocation;
 //   - one flag: the walk records whether any node of the body or guard had
@@ -173,7 +175,7 @@ func (b *Bound) CounterShape() (delta int64, flush func(n int64), ok bool) {
 		return 0, nil, false
 	}
 	return b.body.counterDelta, func(n int64) {
-		*cell = value.Value{Kind: value.KInt, Int: asIntRef(cell) + n}
+		*cell = value.IntVal(cell.AsInt() + n)
 	}, true
 }
 

@@ -26,8 +26,14 @@ func errf(pos token.Pos, format string, args ...any) error {
 	return &interp.RuntimeError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
-func errArrayIndex(pos token.Pos, i int64, n int) error {
-	return errf(pos, "array index %d out of range [0,%d)", i, n)
+// errIndex reports an out-of-range store into a vector or array, or an
+// out-of-range array read.
+func errIndex(pos token.Pos, kind value.Kind, i int64, n int) error {
+	noun := "vector"
+	if kind == value.KArray {
+		noun = "array"
+	}
+	return errf(pos, "%s index %d out of range [0,%d)", noun, i, n)
 }
 
 func errNotMaterialized(pos token.Pos, key string) error {
@@ -165,7 +171,7 @@ func (c *compiler) compileDecl(d *ast.VarDecl) stmtFn {
 		idx := c.defineLocal(d.Name)
 		if t.IsNumeric() {
 			return func(fr *frame) error {
-				fr.locals[idx] = value.Value{Kind: value.KInt}
+				fr.locals[idx] = value.IntVal(0)
 				return nil
 			}
 		}
@@ -185,7 +191,7 @@ func (c *compiler) compileDecl(d *ast.VarDecl) stmtFn {
 				if err != nil {
 					return err
 				}
-				fr.locals[idx] = value.Value{Kind: value.KInt, Int: n}
+				fr.locals[idx] = value.IntVal(n)
 				return nil
 			}
 		}
@@ -221,14 +227,13 @@ func (c *compiler) compileAssign(st *ast.AssignStmt) stmtFn {
 				return errf(pos, "undefined: %s", name)
 			}
 		}
-		store := loadSlot(sl)
 		if t == nil {
 			return func(fr *frame) error {
 				v, err := rhs(fr)
 				if err != nil {
 					return err
 				}
-				*store(fr) = v
+				*fr.ref(sl) = v
 				return nil
 			}
 		}
@@ -237,13 +242,13 @@ func (c *compiler) compileAssign(st *ast.AssignStmt) stmtFn {
 			if err != nil {
 				return err
 			}
-			*store(fr) = interp.Convert(v, t)
+			*fr.ref(sl) = interp.Convert(v, t)
 			return nil
 		}
 	case *ast.IndexExpr:
 		base := c.compileExpr(lhs.X)
 		index := c.compileExpr(lhs.Index)
-		elemT := c.elemTypeOf(lhs.X)
+		keyT, elemT := c.keyTypeOf(lhs.X), c.elemTypeOf(lhs.X)
 		pos := lhs.P
 		return func(fr *frame) error {
 			rv, err := rhs(fr)
@@ -258,23 +263,17 @@ func (c *compiler) compileAssign(st *ast.AssignStmt) stmtFn {
 			if err != nil {
 				return err
 			}
-			switch bv.Kind {
+			switch bv.Kind() {
 			case value.KDict:
-				bv.Dict.Set(iv, interp.Convert(rv, elemT))
+				bv.Dict().Set(interp.Convert(iv, keyT), interp.Convert(rv, elemT))
 				return nil
-			case value.KArray:
+			case value.KArray, value.KVector:
+				s := bv.Seq()
 				i := iv.AsInt()
-				if i < 0 || i >= int64(len(bv.Arr.Elems)) {
-					return errArrayIndex(pos, i, len(bv.Arr.Elems))
+				if i < 0 || i >= int64(s.Len()) {
+					return errIndex(pos, bv.Kind(), i, s.Len())
 				}
-				bv.Arr.Elems[i] = interp.Convert(rv, elemT)
-				return nil
-			case value.KVector:
-				i := iv.AsInt()
-				if i < 0 || i >= int64(len(bv.Vec.Elems)) {
-					return errf(pos, "vector index %d out of range [0,%d)", i, len(bv.Vec.Elems))
-				}
-				bv.Vec.Elems[i] = interp.Convert(rv, elemT)
+				s.Set(i, interp.Convert(rv, elemT))
 				return nil
 			}
 			return errf(pos, "value is not indexable")
@@ -291,8 +290,8 @@ func (c *compiler) compileAssign(st *ast.AssignStmt) stmtFn {
 
 // scalarAssign lowers a numeric store whose RHS (and, for a container
 // element, index) has an unboxed production, or returns nil. The store
-// boxes the already-coerced int64 straight into the slot: Convert to a
-// numeric type is IntVal of AsInt.
+// writes the already-coerced int64 straight into the slot or the typed
+// container storage: Convert to a numeric type is IntVal of AsInt.
 func (c *compiler) scalarAssign(st *ast.AssignStmt) stmtFn {
 	switch lhs := st.LHS.(type) {
 	case *ast.Ident:
@@ -308,17 +307,16 @@ func (c *compiler) scalarAssign(st *ast.AssignStmt) stmtFn {
 		if rhs == nil {
 			return nil
 		}
-		store := loadSlot(sl)
 		return func(fr *frame) error {
 			n, err := rhs(fr)
 			if err != nil {
 				return err
 			}
-			*store(fr) = value.Value{Kind: value.KInt, Int: n}
+			*fr.ref(sl) = value.IntVal(n)
 			return nil
 		}
 	case *ast.IndexExpr:
-		t, load, ok := c.scalarContainer(lhs.X)
+		kind, sl, ok := c.scalarContainer(lhs.X)
 		if !ok {
 			return nil
 		}
@@ -332,64 +330,52 @@ func (c *compiler) scalarAssign(st *ast.AssignStmt) stmtFn {
 		}
 		pos := lhs.P
 		// Evaluation order as on the boxed path: RHS, base, index.
-		switch t.Kind {
-		case types.Dict:
+		if kind == value.KDict {
 			return func(fr *frame) error {
 				n, err := rhs(fr)
 				if err != nil {
 					return err
 				}
-				bv := load(fr)
+				d := fr.ref(sl).Dict()
 				k, err := index(fr)
 				if err != nil {
 					return err
 				}
-				if bv.Kind != value.KDict {
+				if d == nil {
 					return errf(pos, "value is not indexable")
 				}
-				bv.Dict.M[value.DictKey{I: k}] = value.Value{Kind: value.KInt, Int: n}
+				if m := d.Ints(); m != nil {
+					m[k] = n
+				} else {
+					d.Set(value.IntVal(k), value.IntVal(n))
+				}
 				return nil
 			}
-		case types.Array:
-			return func(fr *frame) error {
-				n, err := rhs(fr)
-				if err != nil {
-					return err
-				}
-				bv := load(fr)
-				i, err := index(fr)
-				if err != nil {
-					return err
-				}
-				if bv.Kind != value.KArray {
-					return errf(pos, "value is not indexable")
-				}
-				if i < 0 || i >= int64(len(bv.Arr.Elems)) {
-					return errArrayIndex(pos, i, len(bv.Arr.Elems))
-				}
-				bv.Arr.Elems[i] = value.Value{Kind: value.KInt, Int: n}
-				return nil
+		}
+		return func(fr *frame) error {
+			n, err := rhs(fr)
+			if err != nil {
+				return err
 			}
-		case types.Vector:
-			return func(fr *frame) error {
-				n, err := rhs(fr)
-				if err != nil {
-					return err
-				}
-				bv := load(fr)
-				i, err := index(fr)
-				if err != nil {
-					return err
-				}
-				if bv.Kind != value.KVector {
-					return errf(pos, "value is not indexable")
-				}
-				if i < 0 || i >= int64(len(bv.Vec.Elems)) {
-					return errf(pos, "vector index %d out of range [0,%d)", i, len(bv.Vec.Elems))
-				}
-				bv.Vec.Elems[i] = value.Value{Kind: value.KInt, Int: n}
-				return nil
+			bv := fr.ref(sl)
+			i, err := index(fr)
+			if err != nil {
+				return err
 			}
+			if bv.Kind() != kind {
+				return errf(pos, "value is not indexable")
+			}
+			s := bv.Seq()
+			ints, typed := s.Ints()
+			switch {
+			case i < 0 || i >= int64(s.Len()):
+				return errIndex(pos, kind, i, s.Len())
+			case typed:
+				ints[i] = n
+			default:
+				s.Set(i, value.IntVal(n))
+			}
+			return nil
 		}
 	}
 	return nil
@@ -439,6 +425,15 @@ func (c *compiler) elemTypeOf(base ast.Expr) *types.Type {
 	return types.Basic(types.Int)
 }
 
+// keyTypeOf is the declared key type of a dict expression, which keys
+// convert to as elements convert to elemTypeOf.
+func (c *compiler) keyTypeOf(base ast.Expr) *types.Type {
+	if t := c.info.Types[base]; t != nil && t.Key != nil {
+		return t.Key
+	}
+	return types.Basic(types.Int)
+}
+
 func constFn(v value.Value) exprFn {
 	return func(*frame) (value.Value, error) { return v, nil }
 }
@@ -474,16 +469,13 @@ func (c *compiler) compileExpr(e ast.Expr) exprFn {
 		if !ok {
 			return errFn(x.P, "undefined: %s", x.Name)
 		}
-		idx := sl.idx
-		if sl.local {
-			return func(fr *frame) (value.Value, error) { return fr.locals[idx], nil }
-		}
-		return func(fr *frame) (value.Value, error) { return *fr.cells[idx], nil }
+		return func(fr *frame) (value.Value, error) { return *fr.ref(sl), nil }
 	case *ast.FieldExpr:
 		return c.compileField(x)
 	case *ast.IndexExpr:
 		base := c.compileExpr(x.X)
 		index := c.compileExpr(x.Index)
+		keyT := c.keyTypeOf(x.X)
 		pos := x.P
 		return func(fr *frame) (value.Value, error) {
 			bv, err := base(fr)
@@ -494,17 +486,18 @@ func (c *compiler) compileExpr(e ast.Expr) exprFn {
 			if err != nil {
 				return value.Null, err
 			}
-			switch bv.Kind {
+			switch bv.Kind() {
 			case value.KDict:
-				return bv.Dict.Get(iv), nil
+				return bv.Dict().Get(interp.Convert(iv, keyT)), nil
 			case value.KVector:
-				return bv.Vec.Get(iv.AsInt()), nil
+				return bv.Seq().Get(iv.AsInt()), nil
 			case value.KArray:
+				s := bv.Seq()
 				i := iv.AsInt()
-				if i < 0 || i >= int64(len(bv.Arr.Elems)) {
-					return value.Null, errArrayIndex(pos, i, len(bv.Arr.Elems))
+				if i < 0 || i >= int64(s.Len()) {
+					return value.Null, errIndex(pos, value.KArray, i, s.Len())
 				}
-				return bv.Arr.Elems[i], nil
+				return s.Get(i), nil
 			}
 			return value.Null, errf(pos, "value is not indexable")
 		}
@@ -527,10 +520,10 @@ func (c *compiler) compileExpr(e ast.Expr) exprFn {
 			if err != nil {
 				return value.Null, err
 			}
-			if v.Kind != value.KOperand {
+			if v.Kind() != value.KOperand {
 				return value.Null, errf(pos, "IsType requires an operand")
 			}
-			return value.BoolVal(v.Opnd.Kind == want), nil
+			return value.BoolVal(v.Operand().Kind == want), nil
 		}
 	case *ast.UnaryExpr:
 		sub := c.compileExpr(x.X)
@@ -592,10 +585,10 @@ func (c *compiler) compileField(x *ast.FieldExpr) exprFn {
 		if err != nil {
 			return value.Null, err
 		}
-		if bv.Kind != value.KCFE {
+		if bv.Kind() != value.KCFE {
 			return value.Null, errf(pos, "value has no attributes")
 		}
-		return interp.StaticAttr(bv.CFE, name)
+		return interp.StaticAttr(bv.CFE(), name)
 	}
 }
 
@@ -619,10 +612,10 @@ func (c *compiler) compileCall(x *ast.CallExpr) exprFn {
 				if err != nil {
 					return value.Null, err
 				}
-				if fv.Kind != value.KFile {
+				if fv.Kind() != value.KFile {
 					return value.Null, errf(pos, "writeToFile requires a file")
 				}
-				fv.File.WriteLine(vv.String())
+				fv.File().WriteLine(vv.String())
 				return value.Value{}, nil
 			}
 		}
@@ -643,7 +636,7 @@ func (c *compiler) compileMethod(x *ast.CallExpr, fun *ast.FieldExpr) exprFn {
 	if len(x.Args) > 0 {
 		arg0 = c.compileExpr(x.Args[0])
 	}
-	elemT := c.elemTypeOf(fun.X)
+	keyT, elemT := c.keyTypeOf(fun.X), c.elemTypeOf(fun.X)
 	switch name {
 	case "add":
 		return func(fr *frame) (value.Value, error) {
@@ -651,14 +644,14 @@ func (c *compiler) compileMethod(x *ast.CallExpr, fun *ast.FieldExpr) exprFn {
 			if err != nil {
 				return value.Null, err
 			}
-			if rv.Kind != value.KVector {
+			if rv.Kind() != value.KVector {
 				return value.Null, errf(pos, "invalid method %q", name)
 			}
 			v, err := arg0(fr)
 			if err != nil {
 				return value.Null, err
 			}
-			rv.Vec.Add(interp.Convert(v, elemT))
+			rv.Seq().Add(interp.Convert(v, elemT))
 			return value.Value{}, nil
 		}
 	case "has":
@@ -667,19 +660,19 @@ func (c *compiler) compileMethod(x *ast.CallExpr, fun *ast.FieldExpr) exprFn {
 			if err != nil {
 				return value.Null, err
 			}
-			switch rv.Kind {
+			switch rv.Kind() {
 			case value.KVector:
 				v, err := arg0(fr)
 				if err != nil {
 					return value.Null, err
 				}
-				return value.BoolVal(rv.Vec.Has(interp.Convert(v, elemT))), nil
+				return value.BoolVal(rv.Seq().Has(interp.Convert(v, elemT))), nil
 			case value.KDict:
 				v, err := arg0(fr)
 				if err != nil {
 					return value.Null, err
 				}
-				return value.BoolVal(rv.Dict.Has(v)), nil
+				return value.BoolVal(rv.Dict().Has(interp.Convert(v, keyT))), nil
 			}
 			return value.Null, errf(pos, "invalid method %q", name)
 		}
@@ -689,11 +682,11 @@ func (c *compiler) compileMethod(x *ast.CallExpr, fun *ast.FieldExpr) exprFn {
 			if err != nil {
 				return value.Null, err
 			}
-			switch rv.Kind {
+			switch rv.Kind() {
 			case value.KVector:
-				return value.IntVal(int64(len(rv.Vec.Elems))), nil
+				return value.IntVal(int64(rv.Seq().Len())), nil
 			case value.KDict:
-				return value.IntVal(int64(rv.Dict.Len())), nil
+				return value.IntVal(int64(rv.Dict().Len())), nil
 			}
 			return value.Null, errf(pos, "invalid method %q", name)
 		}
@@ -703,10 +696,10 @@ func (c *compiler) compileMethod(x *ast.CallExpr, fun *ast.FieldExpr) exprFn {
 			if err != nil {
 				return value.Null, err
 			}
-			if rv.Kind != value.KFile {
+			if rv.Kind() != value.KFile {
 				return value.Null, errf(pos, "invalid method %q", name)
 			}
-			return rv.File.GetLine(), nil
+			return rv.File().GetLine(), nil
 		}
 	}
 	return func(fr *frame) (value.Value, error) {
@@ -793,8 +786,8 @@ func (c *compiler) compileBinary(x *ast.BinaryExpr) exprFn {
 			if err != nil {
 				return value.Null, err
 			}
-			if lv.Kind == value.KString && rv.Kind == value.KString {
-				return value.BoolVal(orderedCmp(op, strings.Compare(lv.Str, rv.Str))), nil
+			if lv.Kind() == value.KString && rv.Kind() == value.KString {
+				return value.BoolVal(orderedCmp(op, strings.Compare(lv.Str(), rv.Str()))), nil
 			}
 			a, b := lv.AsInt(), rv.AsInt()
 			switch {

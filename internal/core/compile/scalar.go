@@ -1,22 +1,24 @@
 package compile
 
-// The unboxed productions. value.Value is a wide struct, and a chain of
-// Value closures copies one across every closure boundary; for the
-// integer arithmetic, address compares and int-keyed container accesses
-// that dominate real action bodies, that copying is most of the firing
-// cost. Wherever sem's static types allow, the lowering instead picks a
-// production from this file, which keeps the intermediate value a bare
-// int64 or bool and boxes a Value only where one is stored.
+// The unboxed productions. A chain of Value closures re-dispatches on
+// the kind at every closure boundary; for the integer arithmetic,
+// address compares and int-keyed container accesses that dominate real
+// action bodies, that is most of the firing cost. Wherever sem's static
+// types allow, the lowering instead picks a production from this file,
+// which keeps the intermediate value a bare int64 or bool, reads and
+// writes typed container storage (map[int64]int64, []int64) directly,
+// and boxes a Value only where one is stored in a slot.
 //
 // The contract: a production for expression e returns AsInt() (or
 // AsBool(), or String()) of the value the interpreter would produce for
 // e, with identical evaluation order, side effects, runtime error
 // messages and positions. An int production is further guaranteed to
 // stand for an integer-shaped value (KInt or KNull), which is what makes
-// the unboxed comparisons and int-keyed map accesses bit-identical to
-// the boxed path: value.Equal and value.KeyOf coincide with plain int64
-// semantics on such values. Every production returns nil when it cannot
-// meet that bar, and the caller falls back to the boxed production.
+// the unboxed comparisons and int-keyed container accesses bit-identical
+// to the boxed path: value.Equal and the conversion of a key to a numeric
+// key type coincide with plain int64 semantics on such values. Every
+// production returns nil when it cannot meet that bar, and the caller
+// falls back to the boxed production.
 
 import (
 	"strconv"
@@ -37,23 +39,12 @@ type boolFn func(fr *frame) (bool, error)
 // strFn renders one print() argument exactly as Value.String would.
 type strFn func(fr *frame) (string, error)
 
-// asIntRef is value.Value.AsInt without copying the struct in the common
-// already-an-integer case.
-func asIntRef(v *value.Value) int64 {
-	if v.Kind == value.KInt {
-		return v.Int
-	}
-	return v.AsInt()
-}
-
-// loadSlot resolves a slot to a pointer accessor, avoiding the Value copy
-// of the boxed Ident production.
-func loadSlot(sl slot) func(fr *frame) *value.Value {
-	idx := sl.idx
+// ref returns the Value a resolved slot names in this frame.
+func (fr *frame) ref(sl slot) *value.Value {
 	if sl.local {
-		return func(fr *frame) *value.Value { return &fr.locals[idx] }
+		return &fr.locals[sl.idx]
 	}
-	return func(fr *frame) *value.Value { return fr.cells[idx] }
+	return fr.cells[sl.idx]
 }
 
 // intExpr lowers e to an unboxed integer-shaped scalar, or returns nil.
@@ -67,7 +58,7 @@ func (c *compiler) intExpr(e ast.Expr) intFn {
 		return func(*frame) (int64, error) { return n, nil }
 	case *ast.NullLit:
 		// NULL coerces to 0 under every integer consumer (AsInt, Equal
-		// against integer-shaped values, KeyOf, AsBool).
+		// against integer-shaped values, numeric keys, AsBool).
 		return func(*frame) (int64, error) { return 0, nil }
 	case *ast.Ident:
 		// Numeric-typed slots only: such slots always hold KInt (every
@@ -80,8 +71,7 @@ func (c *compiler) intExpr(e ast.Expr) intFn {
 		if !ok {
 			return nil
 		}
-		load := loadSlot(sl)
-		return func(fr *frame) (int64, error) { return asIntRef(load(fr)), nil }
+		return func(fr *frame) (int64, error) { return fr.ref(sl).AsInt(), nil }
 	case *ast.FieldExpr:
 		// Dynamic attributes materialize as integer words (UintVal);
 		// static attributes can be any kind.
@@ -94,7 +84,7 @@ func (c *compiler) intExpr(e ast.Expr) intFn {
 			if idx >= len(fr.dyn) {
 				return 0, errNotMaterialized(pos, key)
 			}
-			return asIntRef(&fr.dyn[idx]), nil
+			return fr.dyn[idx].AsInt(), nil
 		}
 	case *ast.IndexExpr:
 		return c.intIndex(x)
@@ -191,29 +181,40 @@ func (c *compiler) intBinary(x *ast.BinaryExpr) intFn {
 
 // scalarContainer resolves the directly-named base of a container access
 // whose elements are numeric (and, for dicts, whose key type is numeric,
-// so value.KeyOf of the boxed index coincides with the unboxed int64 key).
-func (c *compiler) scalarContainer(base ast.Expr) (*types.Type, func(fr *frame) *value.Value, bool) {
+// so the conversion of the boxed index to the key type coincides with the
+// unboxed int64 key), returning the container's value kind.
+func (c *compiler) scalarContainer(base ast.Expr) (value.Kind, slot, bool) {
 	id, ok := base.(*ast.Ident)
 	if !ok {
-		return nil, nil, false
+		return 0, slot{}, false
 	}
 	t := c.info.Types[base]
 	if t == nil || t.Elem == nil || !t.Elem.IsNumeric() {
-		return nil, nil, false
+		return 0, slot{}, false
 	}
-	if t.Kind == types.Dict && (t.Key == nil || !t.Key.IsNumeric()) {
-		return nil, nil, false
+	var kind value.Kind
+	switch t.Kind {
+	case types.Dict:
+		if t.Key == nil || !t.Key.IsNumeric() {
+			return 0, slot{}, false
+		}
+		kind = value.KDict
+	case types.Vector:
+		kind = value.KVector
+	case types.Array:
+		kind = value.KArray
+	default:
+		return 0, slot{}, false
 	}
 	sl, ok := c.resolve(id.Name)
-	if !ok {
-		return nil, nil, false
-	}
-	return t, loadSlot(sl), true
+	return kind, sl, ok
 }
 
-// intIndex lowers a container read.
+// intIndex lowers a container read. A container whose static type is
+// typed holds typed storage unless a generic one of an assignable type
+// was stored into its slot; that case reads through the boxed methods.
 func (c *compiler) intIndex(x *ast.IndexExpr) intFn {
-	t, load, ok := c.scalarContainer(x.X)
+	kind, sl, ok := c.scalarContainer(x.X)
 	if !ok {
 		return nil
 	}
@@ -222,55 +223,44 @@ func (c *compiler) intIndex(x *ast.IndexExpr) intFn {
 		return nil
 	}
 	pos := x.P
-	switch t.Kind {
-	case types.Dict:
+	if kind == value.KDict {
 		return func(fr *frame) (int64, error) {
-			bv := load(fr)
+			d := fr.ref(sl).Dict()
 			k, err := idxFn(fr)
 			if err != nil {
 				return 0, err
 			}
-			if bv.Kind != value.KDict {
+			if d == nil {
 				return 0, errf(pos, "value is not indexable")
 			}
-			if e, ok := bv.Dict.M[value.DictKey{I: k}]; ok {
-				return asIntRef(&e), nil
+			if m := d.Ints(); m != nil {
+				return m[k], nil
 			}
-			return asIntRef(&bv.Dict.ElemZero), nil
-		}
-	case types.Vector:
-		// Out of range yields NULL on the boxed path, which is 0 here.
-		return func(fr *frame) (int64, error) {
-			bv := load(fr)
-			i, err := idxFn(fr)
-			if err != nil {
-				return 0, err
-			}
-			if bv.Kind != value.KVector {
-				return 0, errf(pos, "value is not indexable")
-			}
-			if i < 0 || i >= int64(len(bv.Vec.Elems)) {
-				return 0, nil
-			}
-			return asIntRef(&bv.Vec.Elems[i]), nil
-		}
-	case types.Array:
-		return func(fr *frame) (int64, error) {
-			bv := load(fr)
-			i, err := idxFn(fr)
-			if err != nil {
-				return 0, err
-			}
-			if bv.Kind != value.KArray {
-				return 0, errf(pos, "value is not indexable")
-			}
-			if i < 0 || i >= int64(len(bv.Arr.Elems)) {
-				return 0, errArrayIndex(pos, i, len(bv.Arr.Elems))
-			}
-			return asIntRef(&bv.Arr.Elems[i]), nil
+			return d.Get(value.IntVal(k)).AsInt(), nil
 		}
 	}
-	return nil
+	return func(fr *frame) (int64, error) {
+		bv := fr.ref(sl)
+		i, err := idxFn(fr)
+		if err != nil {
+			return 0, err
+		}
+		if bv.Kind() != kind {
+			return 0, errf(pos, "value is not indexable")
+		}
+		s := bv.Seq()
+		if ints, typed := s.Ints(); typed && uint64(i) < uint64(len(ints)) {
+			return ints[i], nil
+		}
+		if i < 0 || i >= int64(s.Len()) {
+			if kind == value.KArray {
+				return 0, errIndex(pos, kind, i, s.Len())
+			}
+			// A vector read out of range yields NULL, which is 0 here.
+			return 0, nil
+		}
+		return s.Get(i).AsInt(), nil
+	}
 }
 
 // intSize lowers recv.size() on a directly-named vector or dict.
@@ -291,15 +281,14 @@ func (c *compiler) intSize(x *ast.CallExpr) intFn {
 	if !ok {
 		return nil
 	}
-	load := loadSlot(sl)
 	pos, name := x.P, fun.Name
 	return func(fr *frame) (int64, error) {
-		rv := load(fr)
-		switch rv.Kind {
+		rv := fr.ref(sl)
+		switch rv.Kind() {
 		case value.KVector:
-			return int64(len(rv.Vec.Elems)), nil
+			return int64(rv.Seq().Len()), nil
 		case value.KDict:
-			return int64(rv.Dict.Len()), nil
+			return int64(rv.Dict().Len()), nil
 		}
 		return 0, errf(pos, "invalid method %q", name)
 	}
@@ -317,8 +306,7 @@ func (c *compiler) boolExpr(e ast.Expr) boolFn {
 			if !ok {
 				return nil
 			}
-			load := loadSlot(sl)
-			return func(fr *frame) (bool, error) { return load(fr).AsBool(), nil }
+			return func(fr *frame) (bool, error) { return fr.ref(sl).AsBool(), nil }
 		}
 	case *ast.UnaryExpr:
 		if x.Op == token.NOT {
@@ -411,8 +399,8 @@ func (c *compiler) boolExpr(e ast.Expr) boolFn {
 
 // strArg lowers one print() argument, or returns nil. Int productions
 // render via FormatInt, which matches Value.String on the KInt values
-// they stand for; the two NULL-producing shapes (a NULL literal, a vector
-// read that may run out of range) are rendered explicitly.
+// they stand for; a NULL literal and direct container reads, which may
+// yield NULL or another kind, are rendered explicitly.
 func (c *compiler) strArg(e ast.Expr) strFn {
 	switch x := e.(type) {
 	case *ast.StringLit:
@@ -421,9 +409,7 @@ func (c *compiler) strArg(e ast.Expr) strFn {
 	case *ast.NullLit:
 		return func(*frame) (string, error) { return "NULL", nil }
 	case *ast.IndexExpr:
-		if t := c.info.Types[x.X]; t != nil && t.Kind == types.Vector {
-			return c.strVecGet(x)
-		}
+		return c.strIndex(x)
 	}
 	ifn := c.intExpr(e)
 	if ifn == nil {
@@ -438,11 +424,13 @@ func (c *compiler) strArg(e ast.Expr) strFn {
 	}
 }
 
-// strVecGet renders a direct vector-element read, preserving the boxed
-// path's NULL result for an out-of-range index.
-func (c *compiler) strVecGet(x *ast.IndexExpr) strFn {
-	t, load, ok := c.scalarContainer(x.X)
-	if !ok || t.Kind != types.Vector {
+// strIndex renders a direct read of a numeric container as the boxed
+// path would: a vector read out of range renders NULL, and an element of
+// generic storage (a container of an assignable type stored into the
+// slot) renders as its own kind rather than as its integer coercion.
+func (c *compiler) strIndex(x *ast.IndexExpr) strFn {
+	kind, sl, ok := c.scalarContainer(x.X)
+	if !ok {
 		return nil
 	}
 	idxFn := c.intExpr(x.Index)
@@ -451,18 +439,22 @@ func (c *compiler) strVecGet(x *ast.IndexExpr) strFn {
 	}
 	pos := x.P
 	return func(fr *frame) (string, error) {
-		bv := load(fr)
+		bv := fr.ref(sl)
 		i, err := idxFn(fr)
 		if err != nil {
 			return "", err
 		}
-		if bv.Kind != value.KVector {
+		if bv.Kind() != kind {
 			return "", errf(pos, "value is not indexable")
 		}
-		if i < 0 || i >= int64(len(bv.Vec.Elems)) {
-			return "NULL", nil
+		if kind == value.KDict {
+			return bv.Dict().Get(value.IntVal(i)).String(), nil
 		}
-		return strconv.FormatInt(asIntRef(&bv.Vec.Elems[i]), 10), nil
+		s := bv.Seq()
+		if kind == value.KArray && (i < 0 || i >= int64(s.Len())) {
+			return "", errIndex(pos, kind, i, s.Len())
+		}
+		return s.Get(i).String(), nil
 	}
 }
 

@@ -437,10 +437,10 @@ func (e *engineRun) placeAction(act *ast.Action, env *interp.Env) error {
 		return fmt.Errorf("cinnamon: internal: unchecked action at %s", act.Pos())
 	}
 	slot := env.Lookup(act.Target)
-	if slot == nil || slot.Kind != value.KCFE {
+	if slot == nil || slot.Kind() != value.KCFE {
 		return fmt.Errorf("cinnamon: internal: action target %q unbound", act.Target)
 	}
-	ref := slot.CFE
+	ref := slot.CFE()
 
 	// Static constraints filter at instrumentation time; dynamic ones
 	// compile into a run-time guard. With the passes enabled, a
@@ -559,7 +559,7 @@ func (e *engineRun) whereDeferSafe(where ast.Expr, env *interp.Env) bool {
 		switch n := x.(type) {
 		case *ast.Ident:
 			slot := env.Lookup(n.Name)
-			if slot == nil || slot.Kind != value.KCFE {
+			if slot == nil || slot.Kind() != value.KCFE {
 				safe = false
 			}
 		case *ast.IntLit, *ast.StringLit, *ast.CharLit, *ast.BoolLit,

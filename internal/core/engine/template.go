@@ -203,36 +203,7 @@ func recordRule(r *placement.Rule, rec *templateRec) (ruleRec, bool) {
 // containers and file handles would alias mutable state across
 // sessions.
 func shareableValue(v value.Value) bool {
-	deep := func(e value.Value) bool {
-		switch e.Kind {
-		case value.KDict, value.KVector, value.KArray, value.KFile:
-			return false
-		}
-		return true
-	}
-	switch v.Kind {
-	case value.KFile:
-		return false
-	case value.KDict:
-		for _, e := range v.Dict.M {
-			if !deep(e) {
-				return false
-			}
-		}
-	case value.KVector:
-		for _, e := range v.Vec.Elems {
-			if !deep(e) {
-				return false
-			}
-		}
-	case value.KArray:
-		for _, e := range v.Arr.Elems {
-			if !deep(e) {
-				return false
-			}
-		}
-	}
-	return true
+	return v.Kind() != value.KFile && !value.Nested(v)
 }
 
 // Instantiate rebinds the template for one session: fresh global and

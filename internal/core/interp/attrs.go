@@ -32,11 +32,11 @@ func StaticAttr(ref *value.CFERef, name string) (value.Value, error) {
 		case "numops":
 			return value.IntVal(int64(in.NumOps())), nil
 		case "op1":
-			return value.OperandVal(in.Operand(0)), nil
+			return operand(in, 0), nil
 		case "op2":
-			return value.OperandVal(in.Operand(1)), nil
+			return operand(in, 1), nil
 		case "op3":
-			return value.OperandVal(in.Operand(2)), nil
+			return operand(in, 2), nil
 		case "trgname":
 			if tgt, ok := in.IsDirectTarget(); ok && in.Op == isa.Call {
 				return value.StrVal(ref.Prog.Obj.NameAt(tgt)), nil
@@ -104,4 +104,12 @@ func StaticAttr(ref *value.CFERef, name string) (value.Value, error) {
 		return bad()
 	}
 	return bad()
+}
+
+// operand returns a handle on operand n of in, pointing into in.Ops.
+func operand(in *isa.Inst, n int) value.Value {
+	if n < len(in.Ops) {
+		return value.OperandVal(&in.Ops[n])
+	}
+	return value.OperandVal(nil)
 }

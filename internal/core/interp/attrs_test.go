@@ -89,13 +89,13 @@ func TestStaticAttrAllCFEs(t *testing.T) {
 		}
 	}
 	// String-valued attributes.
-	if v, _ := StaticAttr(refs[ast.Func], "name"); v.Str != "main" {
-		t.Errorf("func name = %q", v.Str)
+	if v, _ := StaticAttr(refs[ast.Func], "name"); v.Str() != "main" {
+		t.Errorf("func name = %q", v.Str())
 	}
-	if v, _ := StaticAttr(refs[ast.Module], "name"); v.Str != "refapp" {
-		t.Errorf("module name = %q", v.Str)
+	if v, _ := StaticAttr(refs[ast.Module], "name"); v.Str() != "refapp" {
+		t.Errorf("module name = %q", v.Str())
 	}
-	if v, _ := StaticAttr(refs[ast.Module], "isexecutable"); !v.Bool {
+	if v, _ := StaticAttr(refs[ast.Module], "isexecutable"); !v.AsBool() {
 		t.Error("module not executable")
 	}
 	// trgname resolves call targets through the symbol table.
@@ -107,8 +107,8 @@ func TestStaticAttrAllCFEs(t *testing.T) {
 			}
 		}
 	}
-	if v, err := StaticAttr(call, "trgname"); err != nil || v.Str != "print" {
-		t.Errorf("trgname = %q, %v", v.Str, err)
+	if v, err := StaticAttr(call, "trgname"); err != nil || v.Str() != "print" {
+		t.Errorf("trgname = %q, %v", v.Str(), err)
 	}
 	// Unknown attributes fail for every CFE kind.
 	for et, ref := range refs {
@@ -133,7 +133,7 @@ func TestFSNamesAndSharing(t *testing.T) {
 		t.Error("same name returned different handles")
 	}
 	f1.WriteLine("x")
-	if got := f3.GetLine(); got.Str != "x" {
+	if got := f3.GetLine(); got.Str() != "x" {
 		t.Errorf("shared handle read = %v", got)
 	}
 	names := fs.Names()

@@ -191,7 +191,11 @@ func (in *Interp) errf(pos token.Pos, format string, args ...any) error {
 }
 
 // ZeroValue returns the zero value of a type (dicts and vectors are
-// allocated empty; arrays are zero-filled).
+// allocated empty; arrays are zero-filled). It is the one place that
+// chooses a container's representation from its static type: a dict
+// whose key and element are both numeric, and a vector or array of
+// numbers, get the typed int64 storage; every other container holds
+// generic Values.
 func ZeroValue(t *types.Type) value.Value {
 	switch t.Kind {
 	case types.Bool:
@@ -199,15 +203,24 @@ func ZeroValue(t *types.Type) value.Value {
 	case types.String, types.Line:
 		return value.StrVal("")
 	case types.Dict:
-		return value.Value{Kind: value.KDict, Dict: value.NewDict(ZeroValue(t.Elem))}
+		if t.Key.IsNumeric() && t.Elem.IsNumeric() {
+			return value.DictValue(value.NewIntDict())
+		}
+		return value.DictValue(value.NewDict(ZeroValue(t.Elem)))
 	case types.Vector:
-		return value.Value{Kind: value.KVector, Vec: &value.VectorVal{}}
+		if t.Elem.IsNumeric() {
+			return value.VectorValue(value.NewIntSeq(0))
+		}
+		return value.VectorValue(value.NewSeq(nil))
 	case types.Array:
+		if t.Elem.IsNumeric() {
+			return value.ArrayValue(value.NewIntSeq(t.Len))
+		}
 		elems := make([]value.Value, t.Len)
 		for i := range elems {
 			elems[i] = ZeroValue(t.Elem)
 		}
-		return value.Value{Kind: value.KArray, Arr: &value.ArrayVal{Elems: elems}}
+		return value.ArrayValue(value.NewSeq(elems))
 	case types.Opcode:
 		return value.OpcodeVal(isa.Nop)
 	default:
@@ -226,8 +239,7 @@ func (in *Interp) DeclareGlobal(env *Env, d *ast.VarDecl) error {
 		if err != nil {
 			return err
 		}
-		f := in.FS.Open(nameV.Str)
-		env.Define(d.Name, value.Value{Kind: value.KFile, File: f})
+		env.Define(d.Name, value.FileValue(in.FS.Open(nameV.Str())))
 		return nil
 	}
 	return in.declare(env, d, t)
@@ -259,10 +271,10 @@ func convert(v value.Value, t *types.Type) value.Value {
 	case t.Kind == types.Bool:
 		return value.BoolVal(v.AsBool())
 	case t.IsStringy():
-		if v.Kind == value.KString {
+		if v.Kind() == value.KString {
 			return v
 		}
-		if v.Kind == value.KNull {
+		if v.Kind() == value.KNull {
 			return value.Null
 		}
 		return value.StrVal(v.String())
@@ -365,23 +377,17 @@ func (in *Interp) assign(env *Env, st *ast.AssignStmt) error {
 		if err != nil {
 			return err
 		}
-		switch base.Kind {
+		switch base.Kind() {
 		case value.KDict:
-			base.Dict.Set(idx, convert(rhs, elemTypeOf(in, lhs.X)))
+			base.Dict().Set(convert(idx, keyTypeOf(in, lhs.X)), convert(rhs, elemTypeOf(in, lhs.X)))
 			return nil
-		case value.KArray:
+		case value.KArray, value.KVector:
+			s := base.Seq()
 			i := idx.AsInt()
-			if i < 0 || i >= int64(len(base.Arr.Elems)) {
-				return in.errf(lhs.P, "array index %d out of range [0,%d)", i, len(base.Arr.Elems))
+			if i < 0 || i >= int64(s.Len()) {
+				return in.errf(lhs.P, "%s index %d out of range [0,%d)", seqNoun(base), i, s.Len())
 			}
-			base.Arr.Elems[i] = convert(rhs, elemTypeOf(in, lhs.X))
-			return nil
-		case value.KVector:
-			i := idx.AsInt()
-			if i < 0 || i >= int64(len(base.Vec.Elems)) {
-				return in.errf(lhs.P, "vector index %d out of range [0,%d)", i, len(base.Vec.Elems))
-			}
-			base.Vec.Elems[i] = convert(rhs, elemTypeOf(in, lhs.X))
+			s.Set(i, convert(rhs, elemTypeOf(in, lhs.X)))
 			return nil
 		}
 		return in.errf(lhs.P, "value is not indexable")
@@ -394,6 +400,24 @@ func elemTypeOf(in *Interp, base ast.Expr) *types.Type {
 		return t.Elem
 	}
 	return types.Basic(types.Int)
+}
+
+// keyTypeOf is the declared key type of a dict expression: keys convert
+// to it at every store, lookup and has, as elements convert to the
+// element type.
+func keyTypeOf(in *Interp, base ast.Expr) *types.Type {
+	if t := in.Info.Types[base]; t != nil && t.Key != nil {
+		return t.Key
+	}
+	return types.Basic(types.Int)
+}
+
+// seqNoun names a sequence's kind in index errors.
+func seqNoun(v value.Value) string {
+	if v.Kind() == value.KArray {
+		return "array"
+	}
+	return "vector"
 }
 
 // Eval evaluates an expression.
@@ -432,17 +456,18 @@ func (in *Interp) Eval(env *Env, e ast.Expr) (value.Value, error) {
 		if err != nil {
 			return value.Null, err
 		}
-		switch base.Kind {
+		switch base.Kind() {
 		case value.KDict:
-			return base.Dict.Get(idx), nil
+			return base.Dict().Get(convert(idx, keyTypeOf(in, x.X))), nil
 		case value.KVector:
-			return base.Vec.Get(idx.AsInt()), nil
+			return base.Seq().Get(idx.AsInt()), nil
 		case value.KArray:
+			s := base.Seq()
 			i := idx.AsInt()
-			if i < 0 || i >= int64(len(base.Arr.Elems)) {
-				return value.Null, in.errf(x.P, "array index %d out of range [0,%d)", i, len(base.Arr.Elems))
+			if i < 0 || i >= int64(s.Len()) {
+				return value.Null, in.errf(x.P, "array index %d out of range [0,%d)", i, s.Len())
 			}
-			return base.Arr.Elems[i], nil
+			return s.Get(i), nil
 		}
 		return value.Null, in.errf(x.P, "value is not indexable")
 	case *ast.CallExpr:
@@ -452,7 +477,7 @@ func (in *Interp) Eval(env *Env, e ast.Expr) (value.Value, error) {
 		if err != nil {
 			return value.Null, err
 		}
-		if v.Kind != value.KOperand {
+		if v.Kind() != value.KOperand {
 			return value.Null, in.errf(x.P, "IsType requires an operand")
 		}
 		var want isa.OperandKind
@@ -464,7 +489,7 @@ func (in *Interp) Eval(env *Env, e ast.Expr) (value.Value, error) {
 		case token.KCONST:
 			want = isa.KindImm
 		}
-		return value.BoolVal(v.Opnd.Kind == want), nil
+		return value.BoolVal(v.Operand().Kind == want), nil
 	case *ast.UnaryExpr:
 		v, err := in.Eval(env, x.X)
 		if err != nil {
@@ -514,10 +539,10 @@ func (in *Interp) evalField(env *Env, x *ast.FieldExpr) (value.Value, error) {
 	if err != nil {
 		return value.Null, err
 	}
-	if base.Kind != value.KCFE {
+	if base.Kind() != value.KCFE {
 		return value.Null, in.errf(x.P, "value has no attributes")
 	}
-	return StaticAttr(base.CFE, x.Name)
+	return StaticAttr(base.CFE(), x.Name)
 }
 
 func (in *Interp) evalCall(env *Env, x *ast.CallExpr) (value.Value, error) {
@@ -544,10 +569,10 @@ func (in *Interp) evalCall(env *Env, x *ast.CallExpr) (value.Value, error) {
 			if err != nil {
 				return value.Null, err
 			}
-			if fv.Kind != value.KFile {
+			if fv.Kind() != value.KFile {
 				return value.Null, in.errf(x.P, "writeToFile requires a file")
 			}
-			fv.File.WriteLine(v.String())
+			fv.File().WriteLine(v.String())
 			return value.Value{}, nil
 		}
 		return value.Null, in.errf(x.P, "unknown function %q", fun.Name)
@@ -563,7 +588,7 @@ func (in *Interp) evalCall(env *Env, x *ast.CallExpr) (value.Value, error) {
 
 func (in *Interp) evalMethod(env *Env, x *ast.CallExpr, recv value.Value, name string) (value.Value, error) {
 	arg := func(i int) (value.Value, error) { return in.Eval(env, x.Args[i]) }
-	switch recv.Kind {
+	switch recv.Kind() {
 	case value.KVector:
 		switch name {
 		case "add":
@@ -571,16 +596,16 @@ func (in *Interp) evalMethod(env *Env, x *ast.CallExpr, recv value.Value, name s
 			if err != nil {
 				return value.Null, err
 			}
-			recv.Vec.Add(convert(v, elemTypeOf(in, funReceiver(x))))
+			recv.Seq().Add(convert(v, elemTypeOf(in, funReceiver(x))))
 			return value.Value{}, nil
 		case "has":
 			v, err := arg(0)
 			if err != nil {
 				return value.Null, err
 			}
-			return value.BoolVal(recv.Vec.Has(convert(v, elemTypeOf(in, funReceiver(x))))), nil
+			return value.BoolVal(recv.Seq().Has(convert(v, elemTypeOf(in, funReceiver(x))))), nil
 		case "size":
-			return value.IntVal(int64(len(recv.Vec.Elems))), nil
+			return value.IntVal(int64(recv.Seq().Len())), nil
 		}
 	case value.KDict:
 		switch name {
@@ -589,14 +614,14 @@ func (in *Interp) evalMethod(env *Env, x *ast.CallExpr, recv value.Value, name s
 			if err != nil {
 				return value.Null, err
 			}
-			return value.BoolVal(recv.Dict.Has(v)), nil
+			return value.BoolVal(recv.Dict().Has(convert(v, keyTypeOf(in, funReceiver(x))))), nil
 		case "size":
-			return value.IntVal(int64(recv.Dict.Len())), nil
+			return value.IntVal(int64(recv.Dict().Len())), nil
 		}
 	case value.KFile:
 		switch name {
 		case "getline":
-			return recv.File.GetLine(), nil
+			return recv.File().GetLine(), nil
 		}
 	}
 	return value.Null, in.errf(x.P, "invalid method %q", name)
@@ -639,8 +664,8 @@ func (in *Interp) evalBinary(env *Env, x *ast.BinaryExpr) (value.Value, error) {
 	case token.NEQ:
 		return value.BoolVal(!value.Equal(l, r)), nil
 	case token.LT, token.LE, token.GT, token.GE:
-		if l.Kind == value.KString && r.Kind == value.KString {
-			return value.BoolVal(compareOrdered(x.Op, strings.Compare(l.Str, r.Str))), nil
+		if l.Kind() == value.KString && r.Kind() == value.KString {
+			return value.BoolVal(compareOrdered(x.Op, strings.Compare(l.Str(), r.Str()))), nil
 		}
 		a, b := l.AsInt(), r.AsInt()
 		switch {

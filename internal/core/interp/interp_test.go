@@ -193,22 +193,22 @@ func TestSnapshotCapturesByValue(t *testing.T) {
 	// Mutating originals after the snapshot must not affect captures.
 	*local.Lookup("x") = value.IntVal(99)
 	*inner.Lookup("y") = value.IntVal(99)
-	if snap.Lookup("x").Int != 10 || snap.Lookup("y").Int != 20 {
-		t.Errorf("snapshot = x:%d y:%d, want 10, 20", snap.Lookup("x").Int, snap.Lookup("y").Int)
+	if snap.Lookup("x").AsInt() != 10 || snap.Lookup("y").AsInt() != 20 {
+		t.Errorf("snapshot = x:%d y:%d, want 10, 20", snap.Lookup("x").AsInt(), snap.Lookup("y").AsInt())
 	}
 	// Globals stay shared.
 	*globals.Lookup("g") = value.IntVal(7)
-	if snap.Lookup("g").Int != 7 {
+	if snap.Lookup("g").AsInt() != 7 {
 		t.Error("globals were copied, want shared")
 	}
 	// Containers are deep-copied.
 	d := value.NewDict(value.IntVal(0))
 	d.Set(value.IntVal(1), value.IntVal(2))
 	local2 := NewEnv(globals)
-	local2.Define("m", value.Value{Kind: value.KDict, Dict: d})
+	local2.Define("m", value.DictValue(d))
 	snap2 := Snapshot(local2, globals)
 	d.Set(value.IntVal(1), value.IntVal(42))
-	if got := snap2.Lookup("m").Dict.Get(value.IntVal(1)).Int; got != 2 {
+	if got := snap2.Lookup("m").Dict().Get(value.IntVal(1)).AsInt(); got != 2 {
 		t.Errorf("captured dict entry = %d, want 2", got)
 	}
 }
@@ -244,7 +244,7 @@ inst I where (I.opcode == Load) {
 	if err := in.ExecStmts(env, act.Body); err != nil {
 		t.Fatal(err)
 	}
-	if got := globals.Lookup("seen").Int; got != 0xbeef {
+	if got := globals.Lookup("seen").AsInt(); got != 0xbeef {
 		t.Errorf("seen = %#x, want 0xbeef", got)
 	}
 	// Without materialization the access must fail loudly.
@@ -275,14 +275,14 @@ func TestStaticAttrs(t *testing.T) {
 			t.Errorf("%s = %d, want %d", c.attr, v.AsInt(), c.want)
 		}
 	}
-	if v, _ := StaticAttr(ref, "opcode"); v.Op != isa.Call {
-		t.Errorf("opcode = %v", v.Op)
+	if v, _ := StaticAttr(ref, "opcode"); v.Opcode() != isa.Call {
+		t.Errorf("opcode = %v", v.Opcode())
 	}
-	if v, _ := StaticAttr(ref, "op1"); v.Opnd.Kind != isa.KindImm {
-		t.Errorf("op1 = %+v", v.Opnd)
+	if v, _ := StaticAttr(ref, "op1"); v.Operand().Kind != isa.KindImm {
+		t.Errorf("op1 = %+v", v.Operand())
 	}
-	if v, _ := StaticAttr(ref, "op3"); v.Opnd.Kind != isa.KindNone {
-		t.Errorf("op3 = %+v", v.Opnd)
+	if v, _ := StaticAttr(ref, "op3"); v.Operand().Kind != isa.KindNone {
+		t.Errorf("op3 = %+v", v.Operand())
 	}
 	if _, err := StaticAttr(ref, "nothing"); err == nil {
 		t.Error("bogus attr resolved")
@@ -290,16 +290,39 @@ func TestStaticAttrs(t *testing.T) {
 }
 
 func TestZeroValues(t *testing.T) {
-	if v := ZeroValue(types.Basic(types.Int)); v.Kind != value.KInt || v.Int != 0 {
-		t.Errorf("zero int = %+v", v)
+	if v := ZeroValue(types.Basic(types.Int)); v.Kind() != value.KInt || v.AsInt() != 0 {
+		t.Errorf("zero int = %v", v)
 	}
-	if v := ZeroValue(types.Basic(types.Bool)); v.Kind != value.KBool || v.Bool {
-		t.Errorf("zero bool = %+v", v)
+	if v := ZeroValue(types.Basic(types.Bool)); v.Kind() != value.KBool || v.AsBool() {
+		t.Errorf("zero bool = %v", v)
 	}
 	dt := &types.Type{Kind: types.Dict, Key: types.Basic(types.Addr), Elem: types.Basic(types.Addr)}
 	dv := ZeroValue(dt)
-	if dv.Dict == nil || dv.Dict.ElemZero.AsInt() != 0 {
-		t.Errorf("zero dict = %+v", dv)
+	if dv.Dict() == nil || dv.Dict().Get(value.IntVal(1)).AsInt() != 0 {
+		t.Errorf("zero dict = %v", dv)
+	}
+	// The static type chooses the storage: typed int64 storage for
+	// numeric dicts, vectors and arrays, generic Values otherwise.
+	if dv.Dict().Ints() == nil {
+		t.Error("dict<addr,addr> is not typed")
+	}
+	str := types.Basic(types.String)
+	if ZeroValue(&types.Type{Kind: types.Dict, Key: str, Elem: types.Basic(types.Int)}).Dict().Ints() != nil {
+		t.Error("dict<string,int> is typed")
+	}
+	seqs := []struct {
+		t     *types.Type
+		typed bool
+	}{
+		{&types.Type{Kind: types.Vector, Elem: types.Basic(types.Addr)}, true},
+		{&types.Type{Kind: types.Vector, Elem: str}, false},
+		{&types.Type{Kind: types.Array, Elem: types.Basic(types.UInt64), Len: 4}, true},
+		{&types.Type{Kind: types.Array, Elem: types.Basic(types.Bool), Len: 4}, false},
+	}
+	for _, c := range seqs {
+		if _, typed := ZeroValue(c.t).Seq().Ints(); typed != c.typed {
+			t.Errorf("%s typed = %v, want %v", c.t, typed, c.typed)
+		}
 	}
 }
 

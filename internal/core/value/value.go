@@ -3,11 +3,21 @@
 // stage (instrumented actions): numbers, booleans, strings/lines, opcode
 // and operand handles, NULL, dicts, vectors, static arrays, file handles,
 // and control-flow-element references.
+//
+// A Value is three words — a kind, an int64 payload and one pointer — and
+// its layout is private to this package. Containers come in two
+// representations, chosen once when the container is created: a typed
+// one (map[int64]int64 for a dict with numeric keys and elements,
+// []int64 for a vector or array of numbers) and a generic one holding
+// Values. Every method serves both, with identical results.
 package value
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
+	"unsafe"
 
 	"repro/internal/cfg"
 	"repro/internal/core/ast"
@@ -32,77 +42,159 @@ const (
 	KCFE
 )
 
-// Value is a Cinnamon runtime value.
+// Value is a Cinnamon runtime value. The payload n holds the number of
+// KInt, 0/1 of KBool, the opcode of KOpcode and the byte length of
+// KString, and is zero for every other kind — which makes n the integer
+// coercion of every kind but KString. The pointer p holds the string
+// data of KString and the referent of KOperand, the container kinds,
+// KFile and KCFE.
 type Value struct {
-	Kind Kind
-	Int  int64
-	Bool bool
-	Str  string
-	Op   isa.Op
-	Opnd isa.Operand
-	Dict *DictVal
-	Vec  *VectorVal
-	Arr  *ArrayVal
-	File *FileVal
-	CFE  *CFERef
+	kind Kind
+	n    int64
+	p    unsafe.Pointer
 }
 
 // Null is the NULL value.
-var Null = Value{Kind: KNull}
+var Null = Value{}
 
 // IntVal returns a numeric value.
-func IntVal(v int64) Value { return Value{Kind: KInt, Int: v} }
+func IntVal(v int64) Value { return Value{kind: KInt, n: v} }
 
 // UintVal returns a numeric value from an unsigned word.
-func UintVal(v uint64) Value { return Value{Kind: KInt, Int: int64(v)} }
+func UintVal(v uint64) Value { return Value{kind: KInt, n: int64(v)} }
 
 // BoolVal returns a boolean value.
-func BoolVal(b bool) Value { return Value{Kind: KBool, Bool: b} }
+func BoolVal(b bool) Value {
+	if b {
+		return Value{kind: KBool, n: 1}
+	}
+	return Value{kind: KBool}
+}
 
-// StrVal returns a string value.
-func StrVal(s string) Value { return Value{Kind: KString, Str: s} }
+// StrVal returns a string value; it shares s's bytes.
+func StrVal(s string) Value {
+	return Value{kind: KString, n: int64(len(s)), p: unsafe.Pointer(unsafe.StringData(s))}
+}
 
 // OpcodeVal returns an opcode value.
-func OpcodeVal(op isa.Op) Value { return Value{Kind: KOpcode, Op: op} }
+func OpcodeVal(op isa.Op) Value { return Value{kind: KOpcode, n: int64(op)} }
 
-// OperandVal returns an operand-handle value.
-func OperandVal(op isa.Operand) Value { return Value{Kind: KOperand, Opnd: op} }
+// noOperand stands for an absent operand (KindNone).
+var noOperand isa.Operand
+
+// OperandVal returns an operand-handle value referring to op, normally an
+// element of its instruction's Ops; nil is the absent operand.
+func OperandVal(op *isa.Operand) Value {
+	if op == nil {
+		op = &noOperand
+	}
+	return Value{kind: KOperand, p: unsafe.Pointer(op)}
+}
+
+// DictValue wraps a dict as a value.
+func DictValue(d *DictVal) Value { return Value{kind: KDict, p: unsafe.Pointer(d)} }
+
+// VectorValue wraps a sequence as a vector value.
+func VectorValue(s *SeqVal) Value { return Value{kind: KVector, p: unsafe.Pointer(s)} }
+
+// ArrayValue wraps a sequence as a static-array value.
+func ArrayValue(s *SeqVal) Value { return Value{kind: KArray, p: unsafe.Pointer(s)} }
+
+// FileValue wraps a file handle as a value.
+func FileValue(f *FileVal) Value { return Value{kind: KFile, p: unsafe.Pointer(f)} }
+
+// CFEVal wraps a CFE reference as a value.
+func CFEVal(r *CFERef) Value { return Value{kind: KCFE, p: unsafe.Pointer(r)} }
+
+// Kind returns the value's kind.
+func (v Value) Kind() Kind { return v.kind }
+
+// Str returns the text of a KString value ("" for any other kind).
+func (v Value) Str() string {
+	if v.kind != KString {
+		return ""
+	}
+	return unsafe.String((*byte)(v.p), int(v.n))
+}
+
+// Opcode returns the opcode of a KOpcode value (Nop for any other kind).
+func (v Value) Opcode() isa.Op {
+	if v.kind != KOpcode {
+		return isa.Nop
+	}
+	return isa.Op(v.n)
+}
+
+// Operand returns the operand of a KOperand value (the absent operand for
+// any other kind).
+func (v Value) Operand() isa.Operand {
+	if v.kind != KOperand {
+		return noOperand
+	}
+	return *(*isa.Operand)(v.p)
+}
+
+// Dict returns the dict of a KDict value, nil for any other kind.
+func (v Value) Dict() *DictVal {
+	if v.kind != KDict {
+		return nil
+	}
+	return (*DictVal)(v.p)
+}
+
+// Seq returns the elements of a KVector or KArray value, nil for any
+// other kind.
+func (v Value) Seq() *SeqVal {
+	if v.kind != KVector && v.kind != KArray {
+		return nil
+	}
+	return (*SeqVal)(v.p)
+}
+
+// File returns the handle of a KFile value, nil for any other kind.
+func (v Value) File() *FileVal {
+	if v.kind != KFile {
+		return nil
+	}
+	return (*FileVal)(v.p)
+}
+
+// CFE returns the reference of a KCFE value, nil for any other kind.
+func (v Value) CFE() *CFERef {
+	if v.kind != KCFE {
+		return nil
+	}
+	return (*CFERef)(v.p)
+}
 
 // AsInt coerces the value to an integer: numbers are themselves, bools are
 // 0/1, NULL is 0, and strings/lines parse as decimal or hex (0 if
 // unparseable — loose, like the paper's examples that feed file lines into
 // address vectors).
 func (v Value) AsInt() int64 {
-	switch v.Kind {
-	case KInt:
-		return v.Int
-	case KBool:
-		if v.Bool {
-			return 1
-		}
-		return 0
-	case KString:
-		n, err := strconv.ParseInt(v.Str, 0, 64)
-		if err != nil {
-			return 0
-		}
-		return n
-	case KOpcode:
-		return int64(v.Op)
+	if v.kind == KString {
+		return v.parseInt()
 	}
-	return 0
+	return v.n
+}
+
+// parseInt is AsInt's string case, kept out of line so AsInt inlines.
+//
+//go:noinline
+func (v Value) parseInt() int64 {
+	n, err := strconv.ParseInt(v.Str(), 0, 64)
+	if err != nil {
+		return 0
+	}
+	return n
 }
 
 // AsBool coerces the value to a condition: booleans are themselves,
 // numbers are non-zero, NULL is false, strings are non-empty.
 func (v Value) AsBool() bool {
-	switch v.Kind {
-	case KBool:
-		return v.Bool
-	case KInt:
-		return v.Int != 0
-	case KString:
-		return v.Str != ""
+	switch v.kind {
+	case KBool, KInt, KString:
+		return v.n != 0
 	case KNull:
 		return false
 	}
@@ -111,29 +203,29 @@ func (v Value) AsBool() bool {
 
 // String renders the value for print().
 func (v Value) String() string {
-	switch v.Kind {
+	switch v.kind {
 	case KNull:
 		return "NULL"
 	case KInt:
-		return strconv.FormatInt(v.Int, 10)
+		return strconv.FormatInt(v.n, 10)
 	case KBool:
-		return strconv.FormatBool(v.Bool)
+		return strconv.FormatBool(v.n != 0)
 	case KString:
-		return v.Str
+		return v.Str()
 	case KOpcode:
-		return v.Op.String()
+		return v.Opcode().String()
 	case KOperand:
-		return v.Opnd.String()
+		return v.Operand().String()
 	case KDict:
-		return fmt.Sprintf("dict(%d entries)", v.Dict.Len())
+		return fmt.Sprintf("dict(%d entries)", v.Dict().Len())
 	case KVector:
-		return fmt.Sprintf("vector(%d elements)", len(v.Vec.Elems))
+		return fmt.Sprintf("vector(%d elements)", v.Seq().Len())
 	case KArray:
-		return fmt.Sprintf("array[%d]", len(v.Arr.Elems))
+		return fmt.Sprintf("array[%d]", v.Seq().Len())
 	case KFile:
-		return fmt.Sprintf("file(%s)", v.File.Name)
+		return fmt.Sprintf("file(%s)", v.File().Name)
 	case KCFE:
-		return v.CFE.String()
+		return v.CFE().String()
 	}
 	return "<invalid>"
 }
@@ -142,109 +234,167 @@ func (v Value) String() string {
 // zero, and the empty string (so `dictlookup != NULL` detects missing
 // entries, as Figure 7 relies on).
 func Equal(a, b Value) bool {
-	if a.Kind == KNull || b.Kind == KNull {
+	if a.kind == KNull || b.kind == KNull {
 		x := a
-		if a.Kind == KNull {
+		if a.kind == KNull {
 			x = b
 		}
-		switch x.Kind {
-		case KNull:
-			return true
-		case KInt:
-			return x.Int == 0
-		case KString:
-			return x.Str == ""
-		case KBool:
-			return !x.Bool
+		switch x.kind {
+		case KNull, KInt, KString, KBool:
+			return x.n == 0
 		}
 		return false
 	}
-	switch {
-	case a.Kind == KOpcode && b.Kind == KOpcode:
-		return a.Op == b.Op
-	case a.Kind == KString && b.Kind == KString:
-		return a.Str == b.Str
-	case a.Kind == KBool && b.Kind == KBool:
-		return a.Bool == b.Bool
-	default:
-		return a.AsInt() == b.AsInt()
+	if a.kind == KString && b.kind == KString {
+		return a.Str() == b.Str()
 	}
+	// Opcodes and bools compare their payloads, as numbers do.
+	return a.AsInt() == b.AsInt()
 }
 
-// DictKey is a comparable dict key.
-type DictKey struct {
-	I     int64
-	S     string
-	IsStr bool
+// dictKey is a comparable key of a generic dict.
+type dictKey struct {
+	i     int64
+	s     string
+	isStr bool
 }
 
-// KeyOf converts a value into a dict key.
-func KeyOf(v Value) DictKey {
-	if v.Kind == KString {
-		return DictKey{S: v.Str, IsStr: true}
+func keyOf(v Value) dictKey {
+	if v.kind == KString {
+		return dictKey{s: v.Str(), isStr: true}
 	}
-	return DictKey{I: v.AsInt()}
+	return dictKey{i: v.AsInt()}
 }
 
 // DictVal is a dictionary. Lookups of missing keys return the zero value
 // of the element type (NULL-comparable), matching the paper's usage.
+// Callers convert keys to the dict's declared key type, as they do
+// elements; a typed dict then stores AsInt of both.
 type DictVal struct {
-	M map[DictKey]Value
-	// ElemZero is returned for missing keys.
-	ElemZero Value
+	ints map[int64]int64 // typed form; nil for the generic form
+	m    map[dictKey]Value
+	zero Value
 }
 
-// NewDict returns an empty dict whose missing-key value is zero.
+// NewDict returns an empty generic dict whose missing-key value is
+// elemZero.
 func NewDict(elemZero Value) *DictVal {
-	return &DictVal{M: make(map[DictKey]Value), ElemZero: elemZero}
+	return &DictVal{m: make(map[dictKey]Value), zero: elemZero}
 }
+
+// NewIntDict returns an empty typed dict of numeric keys and elements.
+func NewIntDict() *DictVal {
+	return &DictVal{ints: make(map[int64]int64), zero: IntVal(0)}
+}
+
+// Ints returns the storage of a typed dict, nil for a generic one.
+func (d *DictVal) Ints() map[int64]int64 { return d.ints }
 
 // Get returns the value for the key (zero element if missing).
 func (d *DictVal) Get(k Value) Value {
-	if v, ok := d.M[KeyOf(k)]; ok {
+	if d.ints != nil {
+		return IntVal(d.ints[k.AsInt()])
+	}
+	if v, ok := d.m[keyOf(k)]; ok {
 		return v
 	}
-	return d.ElemZero
+	return d.zero
 }
 
 // Set stores a value under the key.
-func (d *DictVal) Set(k, v Value) { d.M[KeyOf(k)] = v }
+func (d *DictVal) Set(k, v Value) {
+	if d.ints != nil {
+		d.ints[k.AsInt()] = v.AsInt()
+		return
+	}
+	d.m[keyOf(k)] = v
+}
 
 // Has reports whether the key is present.
-func (d *DictVal) Has(k Value) bool { _, ok := d.M[KeyOf(k)]; return ok }
+func (d *DictVal) Has(k Value) bool {
+	if d.ints != nil {
+		_, ok := d.ints[k.AsInt()]
+		return ok
+	}
+	_, ok := d.m[keyOf(k)]
+	return ok
+}
 
 // Len returns the entry count.
-func (d *DictVal) Len() int { return len(d.M) }
+func (d *DictVal) Len() int {
+	if d.ints != nil {
+		return len(d.ints)
+	}
+	return len(d.m)
+}
 
-// VectorVal is a growable vector.
-type VectorVal struct {
-	Elems []Value
+// SeqVal is the element storage of a vector (growable) or a static array
+// (fixed length); the Value's kind says which.
+type SeqVal struct {
+	typed bool
+	ints  []int64 // typed form
+	elems []Value // generic form
+}
+
+// NewSeq returns a generic sequence holding elems.
+func NewSeq(elems []Value) *SeqVal { return &SeqVal{elems: elems} }
+
+// NewIntSeq returns a typed sequence of n zero numbers.
+func NewIntSeq(n int) *SeqVal { return &SeqVal{typed: true, ints: make([]int64, n)} }
+
+// Ints returns the storage of a typed sequence and true, or nil and false
+// for a generic one. Elements may be written through the slice.
+func (s *SeqVal) Ints() ([]int64, bool) { return s.ints, s.typed }
+
+// Len returns the element count.
+func (s *SeqVal) Len() int {
+	if s.typed {
+		return len(s.ints)
+	}
+	return len(s.elems)
+}
+
+// Get returns element i (NULL if out of range).
+func (s *SeqVal) Get(i int64) Value {
+	if i < 0 || i >= int64(s.Len()) {
+		return Null
+	}
+	if s.typed {
+		return IntVal(s.ints[i])
+	}
+	return s.elems[i]
+}
+
+// Set stores element i, which the caller has range-checked.
+func (s *SeqVal) Set(i int64, e Value) {
+	if s.typed {
+		s.ints[i] = e.AsInt()
+		return
+	}
+	s.elems[i] = e
 }
 
 // Add appends an element.
-func (v *VectorVal) Add(e Value) { v.Elems = append(v.Elems, e) }
+func (s *SeqVal) Add(e Value) {
+	if s.typed {
+		s.ints = append(s.ints, e.AsInt())
+		return
+	}
+	s.elems = append(s.elems, e)
+}
 
-// Has reports whether an equal element is present.
-func (v *VectorVal) Has(e Value) bool {
-	for _, x := range v.Elems {
+// Has reports whether an equal element is present. Equal of a number and
+// any value compares AsInt, so the typed form compares e.AsInt().
+func (s *SeqVal) Has(e Value) bool {
+	if s.typed {
+		return slices.Contains(s.ints, e.AsInt())
+	}
+	for _, x := range s.elems {
 		if Equal(x, e) {
 			return true
 		}
 	}
 	return false
-}
-
-// Get returns element i (NULL if out of range).
-func (v *VectorVal) Get(i int64) Value {
-	if i < 0 || i >= int64(len(v.Elems)) {
-		return Null
-	}
-	return v.Elems[i]
-}
-
-// ArrayVal is a fixed-size array.
-type ArrayVal struct {
-	Elems []Value
 }
 
 // FileVal is an open tool file. Writes append lines; reads consume lines
@@ -267,7 +417,7 @@ func (f *FileVal) GetLine() Value {
 	}
 	s := f.Lines[f.ReadPos]
 	f.ReadPos++
-	return Value{Kind: KString, Str: s}
+	return StrVal(s)
 }
 
 // CFERef is a bound control-flow element: the value of a command's CFE
@@ -300,27 +450,48 @@ func (r *CFERef) String() string {
 	return "cfe?"
 }
 
-// CFEVal wraps a CFE reference as a value.
-func CFEVal(r *CFERef) Value { return Value{Kind: KCFE, CFE: r} }
-
 // Copy returns a value-snapshot of v: containers are deep-copied so that
 // action closures capture analysis data by value (the paper's "static
 // data passed as arguments to callbacks"), while files stay shared.
+// Copies keep the original's representation.
 func Copy(v Value) Value {
-	switch v.Kind {
+	switch v.kind {
 	case KDict:
-		nd := NewDict(v.Dict.ElemZero)
-		for k, e := range v.Dict.M {
-			nd.M[k] = e
-		}
-		return Value{Kind: KDict, Dict: nd}
-	case KVector:
-		nv := &VectorVal{Elems: append([]Value(nil), v.Vec.Elems...)}
-		return Value{Kind: KVector, Vec: nv}
-	case KArray:
-		na := &ArrayVal{Elems: append([]Value(nil), v.Arr.Elems...)}
-		return Value{Kind: KArray, Arr: na}
-	default:
-		return v
+		d := v.Dict()
+		return DictValue(&DictVal{ints: maps.Clone(d.ints), m: maps.Clone(d.m), zero: d.zero})
+	case KVector, KArray:
+		s := v.Seq()
+		ns := &SeqVal{typed: s.typed, ints: slices.Clone(s.ints), elems: slices.Clone(s.elems)}
+		return Value{kind: v.kind, p: unsafe.Pointer(ns)}
 	}
+	return v
+}
+
+// Nested reports whether v is a container with an element that is itself
+// a container or a file handle — state one Copy would leave aliased.
+// Typed containers hold only numbers.
+func Nested(v Value) bool {
+	switch v.kind {
+	case KDict:
+		for _, e := range v.Dict().m {
+			if e.isRef() {
+				return true
+			}
+		}
+	case KVector, KArray:
+		for _, e := range v.Seq().elems {
+			if e.isRef() {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func (v Value) isRef() bool {
+	switch v.kind {
+	case KDict, KVector, KArray, KFile:
+		return true
+	}
+	return false
 }

@@ -71,11 +71,11 @@ func TestDictSemantics(t *testing.T) {
 		t.Error("fresh dict not empty")
 	}
 	// Missing keys return the element zero value.
-	if got := d.Get(IntVal(9)); got.Kind != KInt || got.Int != 0 {
+	if got := d.Get(IntVal(9)); got.Kind() != KInt || got.AsInt() != 0 {
 		t.Errorf("missing key = %v", got)
 	}
 	d.Set(IntVal(9), IntVal(42))
-	if got := d.Get(IntVal(9)); got.Int != 42 {
+	if got := d.Get(IntVal(9)); got.AsInt() != 42 {
 		t.Errorf("get = %v", got)
 	}
 	if !d.Has(IntVal(9)) || d.Len() != 1 {
@@ -83,12 +83,12 @@ func TestDictSemantics(t *testing.T) {
 	}
 	// String keys coexist with numeric ones.
 	d.Set(StrVal("k"), IntVal(7))
-	if d.Get(StrVal("k")).Int != 7 || d.Len() != 2 {
+	if d.Get(StrVal("k")).AsInt() != 7 || d.Len() != 2 {
 		t.Error("string keys broken")
 	}
 	// Numeric keys compare by value regardless of original kind.
 	d.Set(UintVal(100), IntVal(1))
-	if d.Get(IntVal(100)).Int != 1 {
+	if d.Get(IntVal(100)).AsInt() != 1 {
 		t.Error("key normalization broken")
 	}
 }
@@ -109,7 +109,7 @@ func TestQuickDictMatchesGoMap(t *testing.T) {
 			return false
 		}
 		for k, v := range ref {
-			if d.Get(IntVal(k)).Int != v || !d.Has(IntVal(k)) {
+			if d.Get(IntVal(k)).AsInt() != v || !d.Has(IntVal(k)) {
 				return false
 			}
 		}
@@ -121,7 +121,7 @@ func TestQuickDictMatchesGoMap(t *testing.T) {
 }
 
 func TestVector(t *testing.T) {
-	v := &VectorVal{}
+	v := NewSeq(nil)
 	v.Add(IntVal(1))
 	v.Add(StrVal("10"))
 	if !v.Has(IntVal(1)) || v.Has(IntVal(2)) {
@@ -132,27 +132,27 @@ func TestVector(t *testing.T) {
 	if !v.Has(IntVal(10)) {
 		t.Error("line/number comparison broken")
 	}
-	if v.Get(0).Int != 1 || v.Get(5).Kind != KNull || v.Get(-1).Kind != KNull {
+	if v.Get(0).AsInt() != 1 || v.Get(5).Kind() != KNull || v.Get(-1).Kind() != KNull {
 		t.Error("get broken")
 	}
 }
 
 func TestFile(t *testing.T) {
 	f := &FileVal{Name: "t.txt"}
-	if f.GetLine().Kind != KNull {
+	if f.GetLine().Kind() != KNull {
 		t.Error("empty file should return NULL")
 	}
 	f.WriteLine("a")
 	f.WriteLine("b")
-	if f.GetLine().Str != "a" || f.GetLine().Str != "b" {
+	if f.GetLine().Str() != "a" || f.GetLine().Str() != "b" {
 		t.Error("line order wrong")
 	}
-	if f.GetLine().Kind != KNull {
+	if f.GetLine().Kind() != KNull {
 		t.Error("EOF should return NULL")
 	}
 	// Writes after EOF are readable.
 	f.WriteLine("c")
-	if f.GetLine().Str != "c" {
+	if f.GetLine().Str() != "c" {
 		t.Error("write-after-read broken")
 	}
 }
@@ -160,31 +160,32 @@ func TestFile(t *testing.T) {
 func TestCopySemantics(t *testing.T) {
 	d := NewDict(IntVal(0))
 	d.Set(IntVal(1), IntVal(2))
-	orig := Value{Kind: KDict, Dict: d}
+	orig := DictValue(d)
 	cp := Copy(orig)
 	d.Set(IntVal(1), IntVal(99))
-	if cp.Dict.Get(IntVal(1)).Int != 2 {
+	if cp.Dict().Get(IntVal(1)).AsInt() != 2 {
 		t.Error("dict copy not deep")
 	}
-	vec := &VectorVal{Elems: []Value{IntVal(1)}}
-	cpv := Copy(Value{Kind: KVector, Vec: vec})
-	vec.Elems[0] = IntVal(9)
-	if cpv.Vec.Elems[0].Int != 1 {
+	vec := NewSeq([]Value{IntVal(1)})
+	cpv := Copy(VectorValue(vec))
+	vec.Set(0, IntVal(9))
+	if cpv.Seq().Get(0).AsInt() != 1 {
 		t.Error("vector copy not deep")
 	}
-	arr := &ArrayVal{Elems: []Value{IntVal(1)}}
-	cpa := Copy(Value{Kind: KArray, Arr: arr})
-	arr.Elems[0] = IntVal(9)
-	if cpa.Arr.Elems[0].Int != 1 {
+	arr := NewSeq([]Value{IntVal(1)})
+	cpa := Copy(ArrayValue(arr))
+	arr.Set(0, IntVal(9))
+	if cpa.Kind() != KArray || cpa.Seq().Get(0).AsInt() != 1 {
 		t.Error("array copy not deep")
 	}
 	// Scalars copy trivially.
-	if Copy(IntVal(5)).Int != 5 {
+	if Copy(IntVal(5)).AsInt() != 5 {
 		t.Error("scalar copy broken")
 	}
 }
 
 func TestStringRendering(t *testing.T) {
+	r3 := isa.RegOp(isa.R3)
 	cases := []struct {
 		v    Value
 		want string
@@ -194,11 +195,12 @@ func TestStringRendering(t *testing.T) {
 		{StrVal("hi"), "hi"},
 		{Null, "NULL"},
 		{OpcodeVal(isa.Load), "load"},
-		{OperandVal(isa.RegOp(isa.R3)), "r3"},
+		{OperandVal(&r3), "r3"},
+		{OperandVal(nil), isa.Operand{}.String()},
 	}
 	for _, c := range cases {
 		if got := c.v.String(); got != c.want {
-			t.Errorf("String(%#v) = %q, want %q", c.v.Kind, got, c.want)
+			t.Errorf("String(kind %d) = %q, want %q", c.v.Kind(), got, c.want)
 		}
 	}
 }
