@@ -3,14 +3,16 @@ package compile
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/core/ast"
 )
 
 // Lowering reports how every action of a compiled program was lowered,
 // one line per action in source order: "<pos> <kind> guard=<guard>".
-// kind is "scalar" (the body has an unboxed lowering), "counter <delta>"
-// (a scalar body classified as a pure counter bump) or "boxed"; guard is
+// kind is "scalar" (the body has an unboxed lowering), "counter <k1>,<k2>,…"
+// (a scalar body classified as a pure counter: the delta of each bump) or
+// "boxed"; guard is
 // "none", "scalar" or "boxed" for the dynamic where constraint.
 func Lowering(cp *Program) []string {
 	acts := make([]*ast.Action, 0, len(cp.Actions))
@@ -41,8 +43,12 @@ func bodyKind(b *Body) string {
 	switch {
 	case b.boxed:
 		return "boxed"
-	case b.counter:
-		return fmt.Sprintf("counter %d", b.counterDelta)
+	case len(b.bumps) > 0:
+		ks := make([]string, len(b.bumps))
+		for i, bp := range b.bumps {
+			ks[i] = fmt.Sprint(bp.k)
+		}
+		return "counter " + strings.Join(ks, ",")
 	}
 	return "scalar"
 }

@@ -71,6 +71,38 @@ var errCases = []errCase{
 		boxed:   `a[z["k"] - 1] = 1;`,
 		wantErr: "array index",
 	},
+	// The fused read-modify-writes `t = t ± e`: the read's error, then
+	// e's, then the store's, as the unfused statement raises them.
+	{
+		name:    "array read-modify-write out of range",
+		scalar:  `int k = I.memaddr; a[k] = a[k] + n / (I.memaddr - I.memaddr);`,
+		boxed:   `a[z["k"] + 4] = a[z["k"] + 4] + n / z["k"];`,
+		wantErr: "array index",
+	},
+	{
+		name:    "vector read-modify-write stores out of range",
+		scalar:  `int k = I.memaddr; v[k] = v[k] + 1;`,
+		boxed:   `v[z["k"] + 7] = v[z["k"] + 7] + 1;`,
+		wantErr: "vector index",
+	},
+	{
+		name:    "vector read-modify-write divides before the store",
+		scalar:  `int k = I.memaddr; v[k] = v[k] - 1 / (I.memaddr - I.memaddr);`,
+		boxed:   `v[z["k"] + 7] = v[z["k"] + 7] - 1 / z["k"];`,
+		wantErr: "division by zero",
+	},
+	{
+		name:    "dict read-modify-write operand divides by zero",
+		scalar:  `int k = I.memaddr; d[k] = d[k] + n / (I.memaddr - I.memaddr);`,
+		boxed:   `d[7] = d[7] + n / z["k"];`,
+		wantErr: "division by zero",
+	},
+	{
+		name:    "slot read-modify-write operand divides by zero",
+		scalar:  `n = n - n % (I.memaddr - I.memaddr);`,
+		boxed:   `n = n - n % z["k"];`,
+		wantErr: "division by zero",
+	},
 	{
 		name:    "vector read out of range prints NULL",
 		scalar:  `print(v[I.memaddr]);`,
@@ -192,6 +224,8 @@ func TestRuntimeErrorNotIndexable(t *testing.T) {
 		scalar bool
 	}{
 		{"scalar", `n = d[I.memaddr];`, true},
+		{"read-modify-write", `int k = I.memaddr; d[k] = d[k] + 1;`, true},
+		{"read-modify-write literal key", `d[3] = d[3] - n / (I.memaddr - I.memaddr);`, true},
 		{"boxed", `n = d[z["k"]];`, false},
 	} {
 		t.Run(shape.name, func(t *testing.T) {

@@ -679,9 +679,8 @@ func (e *engineRun) compiledExec(act *ast.Action, env *interp.Env, a *placement.
 				inst.record(err)
 			}
 		}}
-		if delta, flush, ok := bound.CounterShape(); ok {
-			inline.Counter, inline.Delta, inline.Flush = true, delta, flush
-			inline.Cell = bound.CounterCell()
+		if delta, flush, cell, ok := bound.CounterShape(); ok {
+			inline.Counter, inline.Delta, inline.Flush, inline.Cell = true, delta, flush, cell
 		}
 	}
 	return func(dyn []value.Value) {

@@ -331,9 +331,8 @@ func (t *Template) bindAction(proto *placement.Action, ar *actionRec, glob *inte
 				inst.record(err)
 			}
 		}}
-		if delta, flush, ok := b.CounterShape(); ok {
-			a.Inline.Counter, a.Inline.Delta, a.Inline.Flush = true, delta, flush
-			a.Inline.Cell = b.CounterCell()
+		if delta, flush, cell, ok := b.CounterShape(); ok {
+			a.Inline.Counter, a.Inline.Delta, a.Inline.Flush, a.Inline.Cell = true, delta, flush, cell
 		}
 	}
 	a.Exec = func(dyn []value.Value) {

@@ -193,6 +193,8 @@ func TestSemanticErrors(t *testing.T) {
 		{"dict of files", `dict<int,file> d;`, "invalid dict value"},
 		{"dict key file", `dict<file,int> d;`, "invalid dict key"},
 		{"assign mismatched", `vector<int> v; init { v = 3; }`, "cannot assign"},
+		{"assign array length", `uint64 a[16]; uint64 b[2]; init { a = b; }`, "cannot assign uint64[2] to uint64[16]"},
+		{"init array length", `uint64 b[2]; inst I { uint64 a[16] = b; }`, "cannot initialize a (uint64[16]) with uint64[2]"},
 		{"if cond type", `init { if (1) { } }`, "must be bool"},
 		{"for cond type", `init { for (int i = 0; i; ) { } }`, "must be bool"},
 		{"call attr", `inst I { before I { I.addr(); } }`, "cannot be called"},

@@ -129,7 +129,9 @@ func (t *Type) IsNumeric() bool {
 func (t *Type) IsStringy() bool { return t.Kind == String || t.Kind == Line }
 
 // AssignableTo reports whether a value of type t may be assigned to a
-// variable of type dst.
+// variable of type dst. Arrays are assignable only between equal static
+// lengths, so an array slot always holds as many elements as its type
+// declares.
 func (t *Type) AssignableTo(dst *Type) bool {
 	if t == nil || dst == nil {
 		return false
@@ -147,7 +149,8 @@ func (t *Type) AssignableTo(dst *Type) bool {
 	case t.Kind == Bool && dst.Kind == Bool:
 		return true
 	case (t.Kind == Dict || t.Kind == Vector || t.Kind == Array) && t.Kind == dst.Kind:
-		return t.Elem.AssignableTo(dst.Elem) && (t.Kind != Dict || t.Key.AssignableTo(dst.Key))
+		return t.Elem.AssignableTo(dst.Elem) && (t.Kind != Dict || t.Key.AssignableTo(dst.Key)) &&
+			(t.Kind != Array || t.Len == dst.Len)
 	}
 	return false
 }

@@ -13,15 +13,7 @@
 #              the generated CLI reference (docs/CLI.md must match the
 #              flag registry byte for byte), the doc-example compile
 #              gate (every fenced .cin block in the docs compiles),
-#              one -stats CLI smoke run, and the probe-dispatch perf
-#              gates (non-race; see internal/vm/obs_test.go and
-#              translate_test.go): disabled path vs the
-#              pre-observability loop, enabled path vs plain-counter
-#              accounting, the translated VM tier vs the
-#              interpreter on the probe-free hot-block workload, and
-#              the action-inlining layer vs the no-inline translated
-#              tier on an action-heavy workload
-#              (internal/bench/inline_test.go)
+#              and one -stats CLI smoke run
 #   governor   one reduced-scale run of the overhead-budget experiment
 #              (experiments -exp=governor): the governor must bring
 #              three action-heavy tools under 5% and 1% budgets
@@ -32,12 +24,7 @@
 #              per-session sums, then SIGTERM and a clean drain; then a
 #              looping victim under cinnamon -listen (a fleet of one),
 #              scraped over real HTTP (/healthz, /metrics, one SSE
-#              event, /sessions/s1/stats) and killed cleanly; plus
-#              the fleet perf gates (internal/bench/fleet_test.go): 32
-#              live sessions must sustain millions of probe fires/sec
-#              with the /metrics p99 under budget, and a session
-#              joining a warm fleet (primed artifact cache) must start
-#              >=5x faster than a cold one
+#              event, /sessions/s1/stats) and killed cleanly
 #   perfbench  the benchmark module (perfbench/, its own Go module, so
 #              the root build never compiles it): vet plus its smoke
 #              and BENCHMARK.json-consistency tests
@@ -47,6 +34,19 @@
 #              divergence the oracle cannot classify as one of the
 #              paper's legal divergences fails the gate. The checked-in
 #              regression corpus replays inside `go test` above.
+#   perf       the CINNAMON_PERF_GATE gates, last, after every
+#              correctness step. Probe dispatch (non-race; see
+#              internal/vm/obs_test.go and translate_test.go): disabled
+#              path vs the pre-observability loop, enabled path vs
+#              plain-counter accounting, the translated VM tier vs the
+#              interpreter on the probe-free hot-block workload, the
+#              action-inlining layer vs the no-inline translated tier
+#              on an action-heavy workload (internal/bench/inline_test.go)
+#              and the placement-IR passes; then the fleet gates
+#              (internal/bench/fleet_test.go): 32 live sessions must
+#              sustain millions of probe fires/sec with the /metrics p99
+#              under budget, and a session joining a warm fleet (primed
+#              artifact cache) must start >=5x faster than a cold one
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -79,6 +79,21 @@ echo "==> observability smoke (-stats -trace)"
 go run ./cmd/cinnamon -backend=janus -target=victim:uaf_bug \
 	-stats -trace=8 @useafterfree >/dev/null 2>&1
 
+echo "==> governor bench smoke (budget sweep)"
+go run ./cmd/experiments -exp=governor -benchmark=mcf -scale=0.2 >/dev/null
+
+echo "==> monitoring-server smoke (cinnamond + cinnamon -listen)"
+go run ./scripts/fleetsmoke
+
+echo "==> benchmark module (perfbench vet + test)"
+go -C perfbench vet ./...
+go -C perfbench test -count=1 ./...
+
+echo "==> differential conformance sweep (200 seeds)"
+go run ./cmd/conformance -seeds 200 -budget 30s
+
+# The perf gates run last, so that a gate failing on a noisy or small
+# host cannot stop the correctness steps above from running.
 echo "==> disabled-path dispatch perf gate"
 CINNAMON_PERF_GATE=1 go test -run TestObsDisabledDispatchOverhead -count=1 ./internal/vm/
 
@@ -94,23 +109,10 @@ CINNAMON_PERF_GATE=1 go test -run TestInlinedActionSpeedup -count=1 ./internal/b
 echo "==> placement-IR perf gate"
 CINNAMON_PERF_GATE=1 go test -run TestIROptDispatchSpeedup -count=1 ./internal/core/placement/
 
-echo "==> governor bench smoke (budget sweep)"
-go run ./cmd/experiments -exp=governor -benchmark=mcf -scale=0.2 >/dev/null
-
-echo "==> monitoring-server smoke (cinnamond + cinnamon -listen)"
-go run ./scripts/fleetsmoke
-
 echo "==> fleet snapshot-latency perf gate"
 CINNAMON_PERF_GATE=1 go test -run TestFleetSnapshotLatencyGate -count=1 ./internal/bench/
 
 echo "==> fleet warm-startup perf gate"
 CINNAMON_PERF_GATE=1 go test -run TestFleetWarmStartupGate -count=1 ./internal/bench/
-
-echo "==> benchmark module (perfbench vet + test)"
-go -C perfbench vet ./...
-go -C perfbench test -count=1 ./...
-
-echo "==> differential conformance sweep (200 seeds)"
-go run ./cmd/conformance -seeds 200 -budget 30s
 
 echo "CI OK"
