@@ -6,7 +6,14 @@ import (
 	"strings"
 
 	"repro/internal/core/ast"
+	"repro/internal/core/sem"
 )
+
+// CountedFor reports whether st lowers to the counted-loop production.
+func CountedFor(info *sem.Info, st *ast.ForStmt) bool {
+	_, _, ok := (&compiler{info: info}).countedShape(st)
+	return ok
+}
 
 // Lowering reports how every action of a compiled program was lowered,
 // one line per action in source order: "<pos> <kind> guard=<guard>".

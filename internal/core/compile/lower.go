@@ -94,6 +94,9 @@ func (c *compiler) compileStmt(s ast.Stmt) stmtFn {
 			return runStmts(fr, els)
 		}
 	case *ast.ForStmt:
+		if f := c.countedFor(st); f != nil {
+			return f
+		}
 		// The for header lives in its own scope; the body opens another
 		// one per iteration (re-declarations re-initialize their slots).
 		c.pushScope()
@@ -294,7 +297,7 @@ func (c *compiler) compileAssign(st *ast.AssignStmt) stmtFn {
 // container storage: Convert to a numeric type is IntVal of AsInt.
 //
 // A read-modify-write `t = t ± e` (see rmwOf) is fused into one in-place
-// update that evaluates only e — on a typed dict one `m[k] += n`, a
+// update that evaluates only e — on a typed dict one AddTo, at most a
 // single hash. Reading t is side-effect free and e has no side effects
 // either, so the fused form is unobservable except through errors, which
 // keep the unfused order: the read's (at rd), then e's, then the store's.
@@ -369,12 +372,11 @@ func (c *compiler) scalarAssign(st *ast.AssignStmt) stmtFn {
 						return err
 					}
 				}
-				m := d.Ints()
-				switch {
-				case m != nil && rmw:
-					m[k] += n
-				case m != nil:
-					m[k] = n
+				switch typed := d.Typed(); {
+				case typed && rmw:
+					d.AddTo(k, n)
+				case typed:
+					d.Store(k, n)
 				case rmw:
 					d.Set(value.IntVal(k), value.IntVal(d.Get(value.IntVal(k)).AsInt()+n))
 				default:

@@ -303,11 +303,11 @@ func TestZeroValues(t *testing.T) {
 	}
 	// The static type chooses the storage: typed int64 storage for
 	// numeric dicts, vectors and arrays, generic Values otherwise.
-	if dv.Dict().Ints() == nil {
+	if !dv.Dict().Typed() {
 		t.Error("dict<addr,addr> is not typed")
 	}
 	str := types.Basic(types.String)
-	if ZeroValue(&types.Type{Kind: types.Dict, Key: str, Elem: types.Basic(types.Int)}).Dict().Ints() != nil {
+	if ZeroValue(&types.Type{Kind: types.Dict, Key: str, Elem: types.Basic(types.Int)}).Dict().Typed() {
 		t.Error("dict<string,int> is typed")
 	}
 	seqs := []struct {
