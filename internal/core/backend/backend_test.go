@@ -260,7 +260,7 @@ func TestBenchmarkCountsAgreeOnSuite(t *testing.T) {
 				for _, blk := range f.Blocks {
 					for _, in := range blk.Insts {
 						if in.Op == isa.Load {
-							if err := machine.AddBefore(in.Addr, 0, func(*vm.Ctx) { truth++ }); err != nil {
+							if err := machine.AddBefore(in.Addr, vm.Probe{Fn: func(*vm.Ctx) { truth++ }}); err != nil {
 								t.Fatal(err)
 							}
 						}

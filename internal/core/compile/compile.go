@@ -31,10 +31,10 @@
 //     Executing a body is a chain of direct calls with no AST dispatch, no
 //     map lookups, and no per-firing allocation;
 //   - one flag: the walk records whether any node of the body or guard had
-//     to box. Bodies that never box are the ones the VM's inline tier may
-//     call from specialized probe thunks (Bound.FastExec), and the unguarded
-//     ones that are nothing but constant bumps of cells and array
-//     elements are classified as counters (Bound.CounterShape).
+//     to box. The unguarded bodies that never box and are nothing but
+//     constant bumps of cells and array elements are classified as
+//     counters (Bound.CounterShape), which the VM's inline tier promotes
+//     to block-local accumulators.
 //
 // Compiled bodies must be observationally identical to the interpreter —
 // same output, same runtime errors (message and position), same cost-model
@@ -166,16 +166,6 @@ func (b *Bound) Exec(dyn []value.Value) error {
 		}
 	}
 	return runStmts(fr, b.body.stmts)
-}
-
-// FastExec returns Exec when no node of the body boxes a Value — the
-// bodies the VM's inline tier may call from a specialized probe thunk —
-// and nil otherwise.
-func (b *Bound) FastExec() func(dyn []value.Value) error {
-	if b.body.boxed {
-		return nil
-	}
-	return b.Exec
 }
 
 // CounterShape reports whether the bound body is a pure counter (see

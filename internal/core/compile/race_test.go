@@ -33,6 +33,9 @@ func TestConcurrentBoundPrint(t *testing.T) {
 	if len(tool.Code.Actions) != 1 {
 		t.Fatalf("want one action, got %d", len(tool.Code.Actions))
 	}
+	if low := compile.Lowering(tool.Code); !strings.Contains(low[0], " scalar ") {
+		t.Fatalf("print body has no scalar lowering: %s", low[0])
+	}
 	var body *compile.Body
 	for _, b := range tool.Code.Actions {
 		body = b
@@ -49,16 +52,12 @@ func TestConcurrentBoundPrint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast := bd.FastExec()
-		if fast == nil {
-			t.Fatal("print body has no scalar lowering")
-		}
 		dyn := []value.Value{value.IntVal(int64(g + 1))}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < fires; i++ {
-				if err := fast(dyn); err != nil {
+				if err := bd.Exec(dyn); err != nil {
 					t.Error(err)
 					return
 				}

@@ -288,11 +288,6 @@ func TestRuntimeErrorNotIndexable(t *testing.T) {
 				t.Fatal(err)
 			}
 			cErr := bd.Exec(dyn)
-			if fast := bd.FastExec(); fast != nil {
-				if fErr := fast(dyn); fmt.Sprint(fErr) != fmt.Sprint(cErr) {
-					t.Errorf("FastExec error %v, Exec error %v", fErr, cErr)
-				}
-			}
 			runEnv := interp.NewEnv(env)
 			runEnv.SetDyn(map[string]value.Value{"I.memaddr": dyn[0]})
 			iErr := interp.New(tool.Info, io.Discard, nil).ExecStmts(runEnv, act.Body)

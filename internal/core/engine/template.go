@@ -325,20 +325,6 @@ func (t *Template) bindAction(proto *placement.Action, ar *actionRec, glob *inte
 		DynAttrs:    proto.DynAttrs,
 		NumCaptured: proto.NumCaptured,
 	}
-	if fast := b.FastExec(); fast != nil {
-		a.Inline = &placement.InlineInfo{Exec: func(dyn []value.Value) {
-			if err := fast(dyn); err != nil {
-				inst.record(err)
-			}
-		}}
-		if delta, flush, cell, ok := b.CounterShape(); ok {
-			a.Inline.Counter, a.Inline.Delta, a.Inline.Flush, a.Inline.Cell = true, delta, flush, cell
-		}
-	}
-	a.Exec = func(dyn []value.Value) {
-		if err := b.Exec(dyn); err != nil {
-			inst.record(err)
-		}
-	}
+	setCompiled(a, b, inst)
 	return a, nil
 }

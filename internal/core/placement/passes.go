@@ -89,11 +89,10 @@ func hoist(rs *RuleSet, o *obs.Collector) error {
 	return nil
 }
 
-// promote sets each rule's dispatch mechanism from its action's fast
-// lowering: a compiled fast thunk upgrades to MechFast, and a pure
-// counter bump with no dynamic attributes to MechCounter. This feeds
-// the VM's existing InlineInfo fast path from the IR instead of
-// per-backend plumbing.
+// promote sets each rule's dispatch mechanism from its action's
+// InlineInfo: a pure executor upgrades to MechFast, and a pure counter
+// bump with no dynamic attributes to MechCounter. This feeds the VM's
+// inline tier from the IR instead of per-backend plumbing.
 func promote(rs *RuleSet, o *obs.Collector) {
 	promoted := 0
 	for _, r := range rs.rules {
@@ -138,10 +137,8 @@ type siteKey struct {
 // reorder that site's observable execution.
 //
 // The merged probe attributes per-constituent through vm.Share rows,
-// so the report is row-for-row identical to the unmerged table. When
-// every constituent bumps the same storage cell the merged probe
-// keeps a Counter spec with the summed delta; otherwise it falls back
-// to a pure Fn spec applying each constituent's flush in order.
+// so the report is row-for-row identical to the unmerged table, and it
+// stays a counter (see MergeRun).
 func coalesce(rs *RuleSet, o *obs.Collector) {
 	open := make(map[siteKey][]int)
 	var runs [][]int
@@ -211,46 +208,38 @@ func coalescable(r *Rule) bool {
 }
 
 // MergeRun fuses a same-site run into one rule whose execution is the
-// constituents' executions in order. Exported for the engine's rule
-// templates, which re-fuse a recorded merged rule after rebinding its
-// constituents to a new session's cells.
+// constituents' executions in order. The merged rule is a MechCounter:
+// when every constituent bumps the same storage cell it counts in that
+// cell's units with the summed delta; otherwise it counts firings
+// (delta 1) and a flush of n applies each constituent's flush of n
+// times its own delta. Exported for the engine's rule templates, which
+// re-fuse a recorded merged rule after rebinding its constituents to a
+// new session's cells.
 func MergeRun(parts []*Rule) *Rule {
 	first := parts[0]
-	fulls := make([]func(), len(parts))
+	execs := make([]func([]value.Value), len(parts))
 	flushes := make([]func(int64), len(parts))
 	deltas := make([]int64, len(parts))
 	var cost uint64
-	sameCell := first.Action.Inline.Cell != nil
+	var sum int64
 	cell := first.Action.Inline.Cell
 	for i, p := range parts {
-		exec := p.Action.Exec
-		fulls[i] = func() { exec(nil) }
+		execs[i] = p.Action.Exec
 		flushes[i] = p.Action.Inline.Flush
 		deltas[i] = p.Action.Inline.Delta
+		sum += deltas[i]
 		cost += p.Action.Cost
-		if p.Action.Inline.Cell == nil || p.Action.Inline.Cell != cell {
-			sameCell = false
+		if p.Action.Inline.Cell != cell {
+			cell = nil
 		}
 	}
-	fused := func(dyn []value.Value) {
-		for _, f := range fulls {
-			f()
+	il := &InlineInfo{Counter: true, Delta: sum, Flush: first.Action.Inline.Flush, Cell: cell}
+	if cell == nil {
+		il.Delta, il.Flush = 1, func(n int64) {
+			for i, f := range flushes {
+				f(n * deltas[i])
+			}
 		}
-	}
-	fastFused := func(dyn []value.Value) {
-		for i, f := range flushes {
-			f(deltas[i])
-		}
-	}
-	il := &InlineInfo{Exec: fastFused}
-	mech := MechFast
-	if sameCell {
-		var delta int64
-		for _, d := range deltas {
-			delta += d
-		}
-		il.Counter, il.Delta, il.Flush, il.Cell = true, delta, first.Action.Inline.Flush, cell
-		mech = MechCounter
 	}
 	return &Rule{
 		Trigger: first.Trigger,
@@ -261,10 +250,14 @@ func MergeRun(parts []*Rule) *Rule {
 			Label:  first.Action.Label,
 			Cost:   cost,
 			Simple: first.Action.Simple,
-			Exec:   fused,
+			Exec: func([]value.Value) {
+				for _, e := range execs {
+					e(nil)
+				}
+			},
 			Inline: il,
 		},
-		Mechanism: mech,
+		Mechanism: MechCounter,
 		Merged:    parts,
 	}
 }

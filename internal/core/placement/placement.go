@@ -63,16 +63,19 @@ func (t Trigger) String() string {
 }
 
 // Mechanism is the dispatch tier a rule has been promoted to. The
-// zero value is the fully generic clean-call path; the passes upgrade
-// rules whose actions expose a fast lowering. Backends must treat the
-// mechanism as a ceiling, not a demand: lowering a Counter rule
-// through the generic path is always observably correct.
+// zero value is the fully generic clean-call path; the promotion pass
+// upgrades rules whose actions carry an InlineInfo. Backends must treat
+// the mechanism as a ceiling, not a demand: lowering a Fast or Counter
+// rule through the generic path is always observably correct.
 type Mechanism uint8
 
 const (
-	// MechGeneric dispatches through the action's full executor.
+	// MechGeneric dispatches through the action's executor with no
+	// inline spec.
 	MechGeneric Mechanism = iota
-	// MechFast dispatches through the compiled fast thunk.
+	// MechFast dispatches through the same executor, installed with a
+	// vm.ProbeSpec that vouches for its purity, so the VM may fuse the
+	// firing into the translated block as a probe+op superinstruction.
 	MechFast
 	// MechCounter is a pure counter bump: each firing is equivalent,
 	// in every observable, to Flush(Delta), so the VM may accumulate
@@ -92,15 +95,13 @@ func (m Mechanism) String() string {
 	return fmt.Sprintf("mechanism(%d)", uint8(m))
 }
 
-// InlineInfo describes an action's compiled fast path: a body that
-// never boxes a Value (see compile.Bound.FastExec).
+// InlineInfo marks an action whose executor meets the vm.ProbeSpec
+// purity contract: it never installs probes, never reads the cycle
+// count and depends on no machine state beyond its dynamic attributes.
+// Every compiled Cinnamon action qualifies by construction — its body
+// sees only the materialized attribute slots, never a vm.Ctx — and
+// native janus handlers qualify when they declare it.
 type InlineInfo struct {
-	// Exec is the specialized executor: observably identical to
-	// Action.Exec — same stores, same output, same error recording.
-	Exec func(dyn []value.Value)
-	// RawFast is a pre-bound native fast path (janus native tools
-	// supply it; Cinnamon actions leave it nil and Exec is wrapped).
-	RawFast vm.ProbeFn
 	// Counter marks a pure counter-bump body: each firing is
 	// equivalent, in every observable, to Flush(Delta). Counter
 	// actions read no dynamic attributes and cannot fail.
@@ -148,7 +149,8 @@ type Action struct {
 	// takes precedence over Exec (janus native tools dispatch through
 	// it; Cinnamon actions leave it nil).
 	Raw vm.ProbeFn
-	// Inline, when non-nil, describes the fast-lowering surface.
+	// Inline, when non-nil, marks the executor pure and describes its
+	// counter shape (see InlineInfo).
 	Inline *InlineInfo
 }
 
@@ -160,27 +162,6 @@ func (a *Action) CtxExec() vm.ProbeFn {
 		return a.Raw
 	}
 	exec := a.Exec
-	if len(a.DynAttrs) == 0 {
-		return func(c *vm.Ctx) { exec(nil) }
-	}
-	attrs := a.DynAttrs
-	buf := make([]value.Value, len(attrs))
-	return func(c *vm.Ctx) {
-		for i, da := range attrs {
-			buf[i] = value.UintVal(ResolveDynAttr(c, da.Attr))
-		}
-		exec(buf)
-	}
-}
-
-// fastCtx adapts the action's fast thunk to a machine-context probe
-// function (the vm.ProbeSpec callback).
-func (a *Action) fastCtx() vm.ProbeFn {
-	il := a.Inline
-	if il.RawFast != nil {
-		return il.RawFast
-	}
-	exec := il.Exec
 	if len(a.DynAttrs) == 0 {
 		return func(c *vm.Ctx) { exec(nil) }
 	}
@@ -273,7 +254,7 @@ func (r *Rule) Spec() *vm.ProbeSpec {
 		il := r.Action.Inline
 		return &vm.ProbeSpec{Counter: true, Delta: il.Delta, Flush: il.Flush}
 	case MechFast:
-		return &vm.ProbeSpec{Fn: r.Action.fastCtx()}
+		return &vm.ProbeSpec{}
 	}
 	return nil
 }

@@ -28,6 +28,7 @@ import (
 	"repro/internal/core/backend"
 	"repro/internal/core/engine"
 	"repro/internal/core/placement"
+	"repro/internal/core/value"
 	"repro/internal/obs"
 	"repro/internal/progs"
 	"repro/internal/vm"
@@ -410,6 +411,51 @@ func TestRulesAtSharedLibVictim(t *testing.T) {
 	}
 	if perModule[prog.Modules[1]] == 0 {
 		t.Error("no rules placed in the library module; the cross-module case is untested")
+	}
+}
+
+// TestMergeRunDifferentCells: a same-site run of counters on different
+// cells merges into one MechCounter that counts firings (delta 1), and
+// n firings of the merged executor leave every cell exactly as one
+// Flush(n*Delta) does. The constituents mirror compile.CounterShape's
+// two shapes: a single scalar bump counting in units of its own k, and
+// a multi-bump body counting firings.
+func TestMergeRunDifferentCells(t *testing.T) {
+	counter := func(label string, delta int64, exec func(), flush func(int64)) *placement.Rule {
+		return &placement.Rule{
+			Trigger:   placement.Before,
+			Mechanism: placement.MechCounter,
+			Action: &placement.Action{
+				Label:  label,
+				Cost:   10,
+				Exec:   func([]value.Value) { exec() },
+				Inline: &placement.InlineInfo{Counter: true, Delta: delta, Flush: flush},
+			},
+		}
+	}
+	run := func(c *[3]int64) *placement.Rule {
+		return placement.MergeRun([]*placement.Rule{
+			counter("x += 5", 5, func() { c[0] += 5 }, func(n int64) { c[0] += n }),
+			counter("y += 2; z -= 3", 1, func() { c[1] += 2; c[2] -= 3 }, func(n int64) { c[1] += 2 * n; c[2] -= 3 * n }),
+			counter("x += 1", 1, func() { c[0]++ }, func(n int64) { c[0] += n }),
+		})
+	}
+	var fired, flushed [3]int64
+	rf, rb := run(&fired), run(&flushed)
+	if rf.Mechanism != placement.MechCounter || rf.Action.Inline.Delta != 1 || rf.Action.Inline.Cell != nil {
+		t.Fatalf("merged run: mech=%s delta=%d cell=%p, want counter, 1, nil",
+			rf.Mechanism, rf.Action.Inline.Delta, rf.Action.Inline.Cell)
+	}
+	if rf.Action.Cost != 30 {
+		t.Errorf("merged cost %d, want the constituents' sum 30", rf.Action.Cost)
+	}
+	const n = 7
+	for i := 0; i < n; i++ {
+		rf.Action.Exec(nil)
+	}
+	rb.Action.Inline.Flush(n * rb.Action.Inline.Delta)
+	if want := [3]int64{6 * n, 2 * n, -3 * n}; fired != want || flushed != want {
+		t.Fatalf("%d firings gave %v, one flush gave %v, want %v", n, fired, flushed, want)
 	}
 }
 

@@ -132,11 +132,10 @@ type FuncCallExpr struct {
 	// Label identifies the call in observability reports (optional; the
 	// Cinnamon backend sets it to the originating action).
 	Label string
-	// FastFn, when non-nil, is a specialized variant of Fn with
-	// identical observable behavior that satisfies the vm.ProbeSpec
-	// purity contract (never inserts snippets, never reads cycle
-	// counts). The rewriter hands it to the VM's action-inlining layer.
-	FastFn func(args []uint64)
+	// Pure asserts that Fn satisfies the vm.ProbeSpec purity contract
+	// (never inserts snippets, never reads cycle counts). The rewriter
+	// then hands it to the VM's action-inlining layer.
+	Pure bool
 	// CounterFlush, when non-nil, asserts that every invocation of the
 	// call — for any argument values — is equivalent in all observables
 	// to CounterFlush(CounterDelta). Such snippets are promoted to
@@ -148,8 +147,8 @@ type FuncCallExpr struct {
 	// every Sample-th hit of that placement; swallowed hits cost only the
 	// inlined gate (see vm.SampleGateCost).
 	Sample uint64
-	// Merged, when non-nil, marks a coalesced call: Fn (and the fast
-	// surfaces) describe the fused execution of the constituent
+	// Merged, when non-nil, marks a coalesced call: Fn (and the
+	// counter surface) describe the fused execution of the constituent
 	// snippets, while each Part is registered and attributed
 	// separately — one report row per constituent, one trampoline
 	// dispatch per part. Merged calls take no argument snippets and
@@ -490,28 +489,29 @@ func (be *BinaryEdit) OnInit(fn func()) { be.initFns = append(be.initFns, fn) }
 // (instrumented _fini).
 func (be *BinaryEdit) OnFini(fn func()) { be.finiFns = append(be.finiFns, fn) }
 
-// snippetSpec builds the vm.ProbeSpec for one insertion of the snippet
-// (one spec per insertion: the VM owns accumulator state). Only a bare
-// FuncCallExpr with an inline surface qualifies; the argument buffer is
-// allocated once per insertion and reused across firings.
-func snippetSpec(s Snippet) *vm.ProbeSpec {
+// snippetProbe builds the callback and inline spec of one insertion of
+// the snippet (one spec per insertion: the VM owns accumulator state).
+// A bare FuncCallExpr evaluates its arguments into a buffer allocated
+// once per insertion and reused across firings, and only it can carry
+// an inline surface.
+func snippetProbe(s Snippet) vm.Probe {
 	e, ok := s.(FuncCallExpr)
 	if !ok {
-		return nil
-	}
-	if e.CounterFlush != nil {
-		return &vm.ProbeSpec{Counter: true, Delta: e.CounterDelta, Flush: e.CounterFlush}
-	}
-	if e.FastFn == nil {
-		return nil
+		return vm.Probe{Fn: func(c *vm.Ctx) { s.eval(c) }}
 	}
 	args := make([]uint64, len(e.Args))
-	return &vm.ProbeSpec{Fn: func(c *vm.Ctx) {
+	p := vm.Probe{Fn: func(c *vm.Ctx) {
 		for n, a := range e.Args {
 			args[n] = a.eval(c)
 		}
-		e.FastFn(args)
+		e.Fn(args)
 	}}
+	if e.CounterFlush != nil {
+		p.Spec = &vm.ProbeSpec{Counter: true, Delta: e.CounterDelta, Flush: e.CounterFlush}
+	} else if e.Pure {
+		p.Spec = &vm.ProbeSpec{}
+	}
+	return p
 }
 
 // snippetLabel extracts the report label of a snippet: the Label of the
@@ -546,6 +546,23 @@ func snippetSample(s Snippet) uint64 {
 	return 0
 }
 
+// register records one trampoline dispatch with the attached collector
+// (cold path: rewrite time only) and returns the probe ID the VM should
+// attribute its firings to.
+func (be *BinaryEdit) register(label, trigger string, addr, cost uint64) obs.ProbeID {
+	if be.obs == nil {
+		return obs.NoProbe
+	}
+	be.obs.MutateBuild(func(b *obs.BuildStats) { b.Snippets++ })
+	return be.obs.RegisterProbe(obs.ProbeMeta{
+		Label:        label,
+		Trigger:      trigger,
+		Mechanism:    obs.MechSnippet,
+		Addr:         addr,
+		DispatchCost: cost,
+	})
+}
+
 // Run "writes out" the rewritten binary and executes it: all insertions
 // are baked in before the first instruction runs, and no translation cost
 // is paid at run time.
@@ -556,10 +573,7 @@ func (be *BinaryEdit) Run() (*vm.Result, error) {
 	}
 	for _, ins := range be.insertions {
 		s := ins.snippet
-		cost := SnippetCost + s.cost()
-		sample := snippetSample(s)
-		fn := func(c *vm.Ctx) { s.eval(c) }
-		spec := snippetSpec(s)
+		p := snippetProbe(s)
 		var trigger string
 		var addr uint64
 		switch {
@@ -575,59 +589,26 @@ func (be *BinaryEdit) Run() (*vm.Result, error) {
 		if e, ok := s.(FuncCallExpr); ok && len(e.Merged) > 0 {
 			// Coalesced call: one trampoline, one attribution row per
 			// constituent part.
-			shares := make([]vm.Share, len(e.Merged))
+			p.Shares = make([]vm.Share, len(e.Merged))
 			for i, part := range e.Merged {
 				pc := uint64(SnippetCost) + part.Cost
-				pid := obs.NoProbe
-				if be.obs != nil {
-					be.obs.MutateBuild(func(b *obs.BuildStats) { b.Snippets++ })
-					pid = be.obs.RegisterProbe(obs.ProbeMeta{
-						Label:        part.Label,
-						Trigger:      trigger,
-						Mechanism:    obs.MechSnippet,
-						Addr:         addr,
-						DispatchCost: pc,
-					})
-				}
-				shares[i] = vm.Share{ID: pid, Cost: pc}
+				p.Shares[i] = vm.Share{ID: be.register(part.Label, trigger, addr, pc), Cost: pc}
 			}
-			var err error
-			switch {
-			case ins.point.isEdge:
-				err = machine.AddEdgeCoalesced(ins.point.edge[0], ins.point.edge[1], shares, fn, spec)
-			case ins.point.blockAddr != 0:
-				err = machine.AddBlockEntryCoalesced(ins.point.blockAddr, shares, fn, spec)
-			case ins.when == CallBefore:
-				err = machine.AddBeforeCoalesced(ins.point.instAddr, shares, fn, spec)
-			default:
-				err = machine.AddAfterCoalesced(ins.point.instAddr, shares, fn, spec)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("dyninst: %w", err)
-			}
-			continue
-		}
-		id := obs.NoProbe
-		if be.obs != nil {
-			be.obs.MutateBuild(func(b *obs.BuildStats) { b.Snippets++ })
-			id = be.obs.RegisterProbe(obs.ProbeMeta{
-				Label:        snippetLabel(s),
-				Trigger:      trigger,
-				Mechanism:    obs.MechSnippet,
-				Addr:         addr,
-				DispatchCost: cost,
-			})
+		} else {
+			p.Cost = SnippetCost + s.cost()
+			p.ID = be.register(snippetLabel(s), trigger, addr, p.Cost)
+			p.Stride = snippetSample(s)
 		}
 		var err error
 		switch {
 		case ins.point.isEdge:
-			err = machine.AddEdgeSampled(ins.point.edge[0], ins.point.edge[1], cost, id, fn, spec, sample)
+			err = machine.AddEdge(ins.point.edge[0], ins.point.edge[1], p)
 		case ins.point.blockAddr != 0:
-			err = machine.AddBlockEntrySampled(ins.point.blockAddr, cost, id, fn, spec, sample)
+			err = machine.AddBlockEntry(ins.point.blockAddr, p)
 		case ins.when == CallBefore:
-			err = machine.AddBeforeSampled(ins.point.instAddr, cost, id, fn, spec, sample)
+			err = machine.AddBefore(ins.point.instAddr, p)
 		default:
-			err = machine.AddAfterSampled(ins.point.instAddr, cost, id, fn, spec, sample)
+			err = machine.AddAfter(ins.point.instAddr, p)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("dyninst: %w", err)

@@ -109,12 +109,11 @@ type Handler struct {
 	// Label identifies the handler in observability reports (optional;
 	// the Cinnamon backend sets it to the originating action).
 	Label string
-	// FastFn, when non-nil, is a specialized variant of Fn with
-	// identical observable behavior (same stores, same output, same
-	// failures) that satisfies the vm.ProbeSpec purity contract: it
-	// never installs rules or probes and never reads cycle counts. The
-	// dynamic instrumenter hands it to the VM's action-inlining layer.
-	FastFn HandlerFn
+	// Pure asserts that Fn satisfies the vm.ProbeSpec purity contract:
+	// it never installs rules or probes and never reads cycle counts.
+	// The dynamic instrumenter then hands it to the VM's
+	// action-inlining layer.
+	Pure bool
 	// CounterFlush, when non-nil, asserts that every invocation of the
 	// handler — for any rule payload — is equivalent in all observables
 	// to CounterFlush(CounterDelta). Such handlers are promoted to
@@ -210,9 +209,9 @@ type globalRule struct {
 }
 
 // action adapts a handler application to the shared placement Action,
-// pre-binding the rule payload. The native fast surfaces map directly
-// onto the IR's mechanism tiers, so the one translator path below
-// serves native and Cinnamon tools alike.
+// pre-binding the rule payload. The handler's purity and counter
+// declarations map directly onto the IR's mechanism tiers, so the one
+// translator path below serves native and Cinnamon tools alike.
 func (h Handler) action(data []uint64) (*placement.Action, placement.Mechanism) {
 	fn := h.Fn
 	a := &placement.Action{
@@ -227,9 +226,8 @@ func (h Handler) action(data []uint64) (*placement.Action, placement.Mechanism) 
 	if h.CounterFlush != nil {
 		a.Inline = &placement.InlineInfo{Counter: true, Delta: h.CounterDelta, Flush: h.CounterFlush}
 		mech = placement.MechCounter
-	} else if h.FastFn != nil {
-		fast := h.FastFn
-		a.Inline = &placement.InlineInfo{RawFast: func(c *vm.Ctx) { fast(c, data) }}
+	} else if h.Pure {
+		a.Inline = &placement.InlineInfo{}
 		mech = placement.MechFast
 	}
 	return a, mech
@@ -378,41 +376,30 @@ func Run(prog *cfg.Program, tool *Tool, c Config) (*vm.Result, error) {
 		for _, r := range rs.ByBlock(b) {
 			addr := r.SiteAddr()
 			trig := triggerName(r.Trigger)
-			fn := r.Action.CtxExec()
-			spec := r.Spec()
-			var ierr error
+			p := vm.Probe{Fn: r.Action.CtxExec(), Spec: r.Spec(), Stride: r.Action.Sample}
 			if parts := r.Merged; len(parts) > 0 {
 				// One merged probe, one attribution share per
 				// constituent — the report stays row-for-row identical
 				// to separate installation.
-				shares := make([]vm.Share, len(parts))
-				for i, p := range parts {
-					pc := dispatchCost(p.Action, c.Glue)
-					shares[i] = vm.Share{ID: register(p.Action, trig, addr, pc), Cost: pc}
-				}
-				switch r.Trigger {
-				case placement.Before:
-					ierr = machine.AddBeforeCoalesced(r.Inst.Addr, shares, fn, spec)
-				case placement.After:
-					ierr = machine.AddAfterCoalesced(r.Inst.Addr, shares, fn, spec)
-				case placement.BlockEntry:
-					ierr = machine.AddBlockEntryCoalesced(r.Block.Start, shares, fn, spec)
-				case placement.Edge:
-					ierr = machine.AddEdgeCoalesced(r.From.Start, r.Block.Start, shares, fn, spec)
+				p.Shares = make([]vm.Share, len(parts))
+				for i, part := range parts {
+					pc := dispatchCost(part.Action, c.Glue)
+					p.Shares[i] = vm.Share{ID: register(part.Action, trig, addr, pc), Cost: pc}
 				}
 			} else {
-				cost := dispatchCost(r.Action, c.Glue)
-				id := register(r.Action, trig, addr, cost)
-				switch r.Trigger {
-				case placement.Before:
-					ierr = machine.AddBeforeSampled(r.Inst.Addr, cost, id, fn, spec, r.Action.Sample)
-				case placement.After:
-					ierr = machine.AddAfterSampled(r.Inst.Addr, cost, id, fn, spec, r.Action.Sample)
-				case placement.BlockEntry:
-					ierr = machine.AddBlockEntrySampled(r.Block.Start, cost, id, fn, spec, r.Action.Sample)
-				case placement.Edge:
-					ierr = machine.AddEdgeSampled(r.From.Start, r.Block.Start, cost, id, fn, spec, r.Action.Sample)
-				}
+				p.Cost = dispatchCost(r.Action, c.Glue)
+				p.ID = register(r.Action, trig, addr, p.Cost)
+			}
+			var ierr error
+			switch r.Trigger {
+			case placement.Before:
+				ierr = machine.AddBefore(r.Inst.Addr, p)
+			case placement.After:
+				ierr = machine.AddAfter(r.Inst.Addr, p)
+			case placement.BlockEntry:
+				ierr = machine.AddBlockEntry(r.Block.Start, p)
+			case placement.Edge:
+				ierr = machine.AddEdge(r.From.Start, r.Block.Start, p)
 			}
 			if ierr != nil {
 				// Rules that cannot be applied are skipped, as the

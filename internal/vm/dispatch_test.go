@@ -106,7 +106,7 @@ head:
 	for _, mod := range prog.Modules {
 		mod := mod
 		in := mod.Funcs[0].Blocks[0].Insts[0]
-		if err := v.AddBefore(in.Addr, 0, func(*Ctx) { fired[mod.Name()]++ }); err != nil {
+		if err := v.AddBefore(in.Addr, Probe{Fn: func(*Ctx) { fired[mod.Name()]++ }}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -234,7 +234,7 @@ func BenchmarkProbeFire(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		v := New(prog, Config{})
 		for _, a := range addrs {
-			if err := v.AddBefore(a, 1, func(*Ctx) { count++ }); err != nil {
+			if err := v.AddBefore(a, Probe{Cost: 1, Fn: func(*Ctx) { count++ }}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -279,7 +279,7 @@ func (v *VM) fusedFireAlways(p *probe, in *isa.Inst, when When, pc uint64) func(
 			v.cycles += cost
 		}
 	}
-	fn := sp.Fn
+	fn := p.fn
 	if obsC := v.obsC; obsC != nil {
 		if shares != nil {
 			return func(v *VM) {

@@ -22,10 +22,9 @@
 // fires; this is how the frameworks' differing instrumentation mechanisms
 // (clean calls, inlined clean calls, trampoline snippets) are priced.
 //
-// Probes may additionally be tagged with an observability ID (the
-// Add*Obs variants): when a Collector is attached via Config.Obs, every
-// firing is attributed to its probe — count and cycles — on pre-sized
-// slots. With no collector attached the dispatch loop pays exactly one
+// Probes may additionally be tagged with an observability ID
+// (Probe.ID): when a Collector is attached via Config.Obs, every firing
+// is attributed to its probe — count and cycles — on pre-sized slots. With no collector attached the dispatch loop pays exactly one
 // predictable nil-check branch per probe batch.
 package vm
 
@@ -64,37 +63,59 @@ func RuntimeExterns() map[string]uint64 {
 // ProbeFn is an instrumentation callback.
 type ProbeFn func(*Ctx)
 
-// ProbeSpec describes the inline-specialization surface of one installed
-// probe. The inline tier (enabled on the translated tier unless
-// Config.NoInline is set) may run Fn in place of the probe's generic
-// callback from specialized thunks that skip fire-context bookkeeping,
-// and may defer Counter-shaped probes entirely into a promoted
-// accumulator that is flushed at the next observation point.
+// ProbeSpec is an installer's promise about a probe's callback
+// (Probe.Fn). The inline tier (enabled on the translated tier unless
+// Config.NoInline is set) may call a spec'd probe's callback from
+// specialized thunks that skip fire-context bookkeeping, and may defer
+// Counter-shaped probes entirely into a promoted accumulator that is
+// flushed at the next observation point.
 //
 // The contract the installer vouches for:
 //
-//   - Fn is observably identical to the generic callback: same stores,
-//     same output, same cost charges;
-//   - Fn is pure with respect to the machine: it never installs probes,
-//     never reads Cycles(), and depends on no Ctx state beyond what the
-//     firing trigger defines (instruction, when);
+//   - the callback is pure with respect to the machine: it never
+//     installs probes, never reads Cycles(), and depends on no Ctx state
+//     beyond what the firing trigger defines (instruction, when);
 //   - if Counter is true, n consecutive firings are equivalent — in
 //     every observable — to a single Flush(n*Delta) call.
 //
 // A ProbeSpec must be used for exactly one probe installation: the VM
 // owns its accumulator state.
 type ProbeSpec struct {
-	// Fn is the specialized callback (required unless Counter is set;
-	// counter probes are dispatched through Flush and never call Fn).
-	Fn ProbeFn
 	// Counter marks a pure counter bump of Delta per firing; Flush(n)
-	// applies n accumulated delta units to the underlying cell.
+	// applies n accumulated delta units to the underlying cell. Counter
+	// probes are dispatched through Flush on the inline tier and never
+	// call their callback there.
 	Counter bool
 	Delta   int64
 	Flush   func(n int64)
 
 	// acc is the promoted, not-yet-flushed delta sum (VM-owned).
 	acc int64
+}
+
+// Probe is one probe installation, passed to AddBefore, AddAfter,
+// AddBlockEntry and AddEdge.
+type Probe struct {
+	// Fn is the callback run on each firing.
+	Fn ProbeFn
+	// Cost is charged on each firing.
+	Cost uint64
+	// ID attributes firings on the collector attached via Config.Obs
+	// (obs.NoProbe = untracked).
+	ID obs.ProbeID
+	// Spec, when non-nil, is the probe's inline specialization (see
+	// ProbeSpec for the contract).
+	Spec *ProbeSpec
+	// Stride samples the probe: it fires on every Stride-th hit (0 and 1
+	// mean every hit). A stride above 1 — or Config.Adaptive — attaches a
+	// control block, making the probe governable
+	// (SetProbeStride/SetProbeEnabled).
+	Stride uint64
+	// Shares, when non-nil, installs a coalesced probe that attributes
+	// each firing across its constituents (see Share). Its cost is the
+	// share sum, so Cost, ID and Stride must be left zero; coalesced
+	// probes are always-on and rejected on an adaptive machine.
+	Shares []Share
 }
 
 type probe struct {
@@ -392,155 +413,109 @@ func (v *VM) modFor(addr uint64) *modExec {
 }
 
 // AddBefore installs a probe fired before the instruction at addr
-// executes. cost is charged on each firing.
-func (v *VM) AddBefore(addr uint64, cost uint64, fn ProbeFn) error {
-	return v.AddBeforeObs(addr, cost, obs.NoProbe, fn)
-}
-
-// AddBeforeObs is AddBefore with an observability tag: firings are
-// attributed to id on the collector attached via Config.Obs.
-func (v *VM) AddBeforeObs(addr uint64, cost uint64, id obs.ProbeID, fn ProbeFn) error {
-	return v.AddBeforeSpec(addr, cost, id, fn, nil)
-}
-
-// AddBeforeSpec is AddBeforeObs with an inline specialization (spec may
-// be nil; see ProbeSpec for the contract).
-func (v *VM) AddBeforeSpec(addr uint64, cost uint64, id obs.ProbeID, fn ProbeFn, spec *ProbeSpec) error {
-	return v.AddBeforeSampled(addr, cost, id, fn, spec, 0)
-}
-
-// AddBeforeSampled is AddBeforeSpec with a sampling stride: the probe
-// fires on every stride-th hit (0 and 1 mean every hit). A stride above 1
-// — or Config.Adaptive — attaches a control block, making the probe
-// governable (SetProbeStride/SetProbeEnabled).
-func (v *VM) AddBeforeSampled(addr uint64, cost uint64, id obs.ProbeID, fn ProbeFn, spec *ProbeSpec, stride uint64) error {
-	m := v.modFor(addr)
-	if m == nil || m.insts[addr-m.base] == nil {
-		return fmt.Errorf("vm: no instruction at %#x", addr)
-	}
-	p := m.probesAt(addr - m.base)
-	ct := v.newCtl(id, stride)
-	if ct != nil {
-		ct.sites = append(ct.sites, ctlSite{m: m, off: addr - m.base})
-	}
-	p.before = append(p.before, probe{fn: fn, cost: cost, id: id, spec: spec, ctl: ct})
-	m.flags[addr-m.base] |= flagBefore
-	m.invalidate(addr - m.base)
-	return nil
-}
+// executes.
+func (v *VM) AddBefore(addr uint64, p Probe) error { return v.add(siteBefore, 0, addr, p) }
 
 // AddAfter installs a probe fired after the instruction at addr executes.
 // For calls the probe fires at the fall-through, once the callee returns.
 // After-probes are invalid on branches, returns and halts (there is no
 // well-defined "after" point), matching the restrictions real frameworks
 // impose.
-func (v *VM) AddAfter(addr uint64, cost uint64, fn ProbeFn) error {
-	return v.AddAfterObs(addr, cost, obs.NoProbe, fn)
-}
-
-// AddAfterObs is AddAfter with an observability tag.
-func (v *VM) AddAfterObs(addr uint64, cost uint64, id obs.ProbeID, fn ProbeFn) error {
-	return v.AddAfterSpec(addr, cost, id, fn, nil)
-}
-
-// AddAfterSpec is AddAfterObs with an inline specialization (spec may be
-// nil; see ProbeSpec for the contract).
-func (v *VM) AddAfterSpec(addr uint64, cost uint64, id obs.ProbeID, fn ProbeFn, spec *ProbeSpec) error {
-	return v.AddAfterSampled(addr, cost, id, fn, spec, 0)
-}
-
-// AddAfterSampled is AddAfterSpec with a sampling stride (see
-// AddBeforeSampled).
-func (v *VM) AddAfterSampled(addr uint64, cost uint64, id obs.ProbeID, fn ProbeFn, spec *ProbeSpec, stride uint64) error {
-	m := v.modFor(addr)
-	if m == nil || m.insts[addr-m.base] == nil {
-		return fmt.Errorf("vm: no instruction at %#x", addr)
-	}
-	switch m.insts[addr-m.base].Op {
-	case isa.Branch, isa.Return, isa.Halt:
-		return fmt.Errorf("vm: after-probe invalid on %s at %#x", m.insts[addr-m.base].Op, addr)
-	}
-	p := m.probesAt(addr - m.base)
-	ct := v.newCtl(id, stride)
-	if ct != nil {
-		ct.sites = append(ct.sites, ctlSite{m: m, off: addr - m.base})
-	}
-	p.after = append(p.after, probe{fn: fn, cost: cost, id: id, spec: spec, ctl: ct})
-	m.flags[addr-m.base] |= flagAfter
-	m.invalidate(addr - m.base)
-	return nil
-}
+func (v *VM) AddAfter(addr uint64, p Probe) error { return v.add(siteAfter, 0, addr, p) }
 
 // AddBlockEntry installs a probe fired whenever execution enters the basic
-// block starting at addr.
-func (v *VM) AddBlockEntry(addr uint64, cost uint64, fn ProbeFn) error {
-	return v.AddBlockEntryObs(addr, cost, obs.NoProbe, fn)
-}
-
-// AddBlockEntryObs is AddBlockEntry with an observability tag.
-func (v *VM) AddBlockEntryObs(addr uint64, cost uint64, id obs.ProbeID, fn ProbeFn) error {
-	return v.AddBlockEntrySpec(addr, cost, id, fn, nil)
-}
-
-// AddBlockEntrySpec is AddBlockEntryObs with an inline specialization
-// (spec may be nil; see ProbeSpec for the contract).
-func (v *VM) AddBlockEntrySpec(addr uint64, cost uint64, id obs.ProbeID, fn ProbeFn, spec *ProbeSpec) error {
-	return v.AddBlockEntrySampled(addr, cost, id, fn, spec, 0)
-}
-
-// AddBlockEntrySampled is AddBlockEntrySpec with a sampling stride (see
-// AddBeforeSampled). Entry lists are read live at dispatch, so control
-// changes need no block invalidation.
-func (v *VM) AddBlockEntrySampled(addr uint64, cost uint64, id obs.ProbeID, fn ProbeFn, spec *ProbeSpec, stride uint64) error {
-	m := v.modFor(addr)
-	if m == nil || m.blocks[addr-m.base] == nil {
-		return fmt.Errorf("vm: no basic block starting at %#x", addr)
-	}
-	p := m.probesAt(addr - m.base)
-	p.entry = append(p.entry, probe{fn: fn, cost: cost, id: id, spec: spec, ctl: v.newCtl(id, stride)})
-	m.flags[addr-m.base] |= flagBlockEntry
-	return nil
-}
+// block starting at addr. Entry lists are read live at dispatch, so
+// control changes need no block invalidation.
+func (v *VM) AddBlockEntry(addr uint64, p Probe) error { return v.add(siteEntry, 0, addr, p) }
 
 // AddEdge installs a probe fired when the intraprocedural edge from the
 // block starting at `from` to the block starting at `to` is traversed.
-func (v *VM) AddEdge(from, to uint64, cost uint64, fn ProbeFn) error {
-	return v.AddEdgeObs(from, to, cost, obs.NoProbe, fn)
-}
+// Edge lists are read live at dispatch, so control changes need no block
+// invalidation.
+func (v *VM) AddEdge(from, to uint64, p Probe) error { return v.add(siteEdge, from, to, p) }
 
-// AddEdgeObs is AddEdge with an observability tag.
-func (v *VM) AddEdgeObs(from, to uint64, cost uint64, id obs.ProbeID, fn ProbeFn) error {
-	return v.AddEdgeSpec(from, to, cost, id, fn, nil)
-}
+// site is the kind of trigger point a probe is installed at.
+type site uint8
 
-// AddEdgeSpec is AddEdgeObs with an inline specialization (spec may be
-// nil; see ProbeSpec for the contract).
-func (v *VM) AddEdgeSpec(from, to uint64, cost uint64, id obs.ProbeID, fn ProbeFn, spec *ProbeSpec) error {
-	return v.AddEdgeSampled(from, to, cost, id, fn, spec, 0)
-}
+const (
+	siteBefore site = iota
+	siteAfter
+	siteEntry
+	siteEdge
+)
 
-// AddEdgeSampled is AddEdgeSpec with a sampling stride (see
-// AddBeforeSampled). Edge lists are read live at dispatch, so control
-// changes need no block invalidation.
-func (v *VM) AddEdgeSampled(from, to uint64, cost uint64, id obs.ProbeID, fn ProbeFn, spec *ProbeSpec, stride uint64) error {
-	m := v.modFor(to)
-	if m == nil || m.blocks[to-m.base] == nil {
-		return fmt.Errorf("vm: no basic block starting at %#x", to)
-	}
-	if mf := v.modFor(from); mf == nil || mf.blocks[from-mf.base] == nil {
-		return fmt.Errorf("vm: no basic block starting at %#x", from)
-	}
-	p := m.probesAt(to - m.base)
-	np := probe{fn: fn, cost: cost, id: id, spec: spec, ctl: v.newCtl(id, stride)}
-	for i := range p.edgeIn {
-		if p.edgeIn[i].from == from {
-			p.edgeIn[i].probes = append(p.edgeIn[i].probes, np)
-			m.flags[to-m.base] |= flagEdgeTo
-			return nil
+// add validates one installation — the probe first, then its site — and
+// only then installs it, so a rejected probe leaves the machine as it
+// was.
+func (v *VM) add(k site, from, addr uint64, p Probe) error {
+	if p.Shares != nil {
+		if len(p.Shares) == 0 {
+			return errors.New("vm: coalesced probe needs at least one share")
+		}
+		if p.Cost != 0 || p.ID != obs.NoProbe || p.Stride > 1 {
+			return errors.New("vm: coalesced probe takes its cost and attribution from its shares and cannot be sampled")
+		}
+		if v.adaptive {
+			return errors.New("vm: coalesced probes have no control block and cannot run in adaptive mode")
 		}
 	}
-	p.edgeIn = append(p.edgeIn, edgeProbes{from: from, probes: []probe{np}})
-	m.flags[to-m.base] |= flagEdgeTo
+	m := v.modFor(addr)
+	if k == siteBefore || k == siteAfter {
+		if m == nil || m.insts[addr-m.base] == nil {
+			return fmt.Errorf("vm: no instruction at %#x", addr)
+		}
+		if op := m.insts[addr-m.base].Op; k == siteAfter && (op == isa.Branch || op == isa.Return || op == isa.Halt) {
+			return fmt.Errorf("vm: after-probe invalid on %s at %#x", op, addr)
+		}
+	} else {
+		if m == nil || m.blocks[addr-m.base] == nil {
+			return fmt.Errorf("vm: no basic block starting at %#x", addr)
+		}
+		if k == siteEdge {
+			if mf := v.modFor(from); mf == nil || mf.blocks[from-mf.base] == nil {
+				return fmt.Errorf("vm: no basic block starting at %#x", from)
+			}
+		}
+	}
+
+	off := addr - m.base
+	np := probe{fn: p.Fn, cost: p.Cost, id: p.ID, spec: p.Spec, shares: p.Shares}
+	if p.Shares != nil {
+		for _, s := range p.Shares {
+			np.cost += s.Cost
+		}
+	} else {
+		np.ctl = v.newCtl(p.ID, p.Stride)
+	}
+	ps := m.probesAt(off)
+	switch k {
+	case siteBefore, siteAfter:
+		if k == siteBefore {
+			ps.before = append(ps.before, np)
+			m.flags[off] |= flagBefore
+		} else {
+			ps.after = append(ps.after, np)
+			m.flags[off] |= flagAfter
+		}
+		// Instruction probes are fused into translated blocks: control
+		// changes must invalidate the block they live in.
+		if np.ctl != nil {
+			np.ctl.sites = append(np.ctl.sites, ctlSite{m: m, off: off})
+		}
+		m.invalidate(off)
+	case siteEntry:
+		ps.entry = append(ps.entry, np)
+		m.flags[off] |= flagBlockEntry
+	case siteEdge:
+		m.flags[off] |= flagEdgeTo
+		for i := range ps.edgeIn {
+			if ps.edgeIn[i].from == from {
+				ps.edgeIn[i].probes = append(ps.edgeIn[i].probes, np)
+				return nil
+			}
+		}
+		ps.edgeIn = append(ps.edgeIn, edgeProbes{from: from, probes: []probe{np}})
+	}
 	return nil
 }
 
@@ -653,13 +628,12 @@ func (v *VM) fire(ps []probe, in *isa.Inst, when When) {
 	c.inst, c.when, c.block = saveInst, saveWhen, saveBlock
 }
 
-// fireInline is the fire loop of the action-inlining layer: probes with
-// an inline spec run their specialized callbacks — counter-shaped ones
-// only bump their promoted accumulator — while unspecialized probes see
-// every promoted counter flushed first (their bodies may read any cell,
-// install probes, or observe Cycles, so they are full observation
-// points). Cycle charges and obs attribution stay per-firing and in
-// firing order, identical to the generic loop.
+// fireInline is the fire loop of the action-inlining layer: counter-
+// shaped probes only bump their promoted accumulator, while every other
+// probe sees the promoted counters flushed first (its body may read the
+// cells they cover; an unspecialized body may also install probes or
+// observe Cycles). Cycle charges and obs attribution stay per-firing and
+// in firing order, identical to the generic loop.
 func (v *VM) fireInline(ps []probe, in *isa.Inst, when When) {
 	c := &v.ctx
 	saveInst, saveWhen, saveBlock := c.inst, c.when, c.block
@@ -671,23 +645,12 @@ func (v *VM) fireInline(ps []probe, in *isa.Inst, when When) {
 		if anyCtl && p.ctl != nil && !p.ctl.gate(v) {
 			continue
 		}
-		if sp := p.spec; sp != nil {
-			if sp.Counter {
-				if sp.acc == 0 {
-					v.dirty = append(v.dirty, sp)
-				}
-				sp.acc += sp.Delta
-				v.cycles += p.cost
-				if obsC != nil {
-					p.fireObs(obsC, v.pc)
-				}
-				continue
+		if sp := p.spec; sp != nil && sp.Counter {
+			if sp.acc == 0 {
+				v.dirty = append(v.dirty, sp)
 			}
-			if len(v.dirty) > 0 {
-				v.flushCounters()
-			}
+			sp.acc += sp.Delta
 			v.cycles += p.cost
-			sp.Fn(c)
 			if obsC != nil {
 				p.fireObs(obsC, v.pc)
 			}

@@ -305,15 +305,15 @@ func TestBeforeAfterProbes(t *testing.T) {
 	}
 	v := New(prog, Config{})
 	var before, after int
-	if err := v.AddBefore(addInst.Addr, 5, func(c *Ctx) {
+	if err := v.AddBefore(addInst.Addr, Probe{Cost: 5, Fn: func(c *Ctx) {
 		before++
 		if c.Inst() != addInst || c.When() != BeforeInst {
 			t.Error("bad ctx in before probe")
 		}
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.AddAfter(addInst.Addr, 5, func(c *Ctx) { after++ }); err != nil {
+	if err := v.AddAfter(addInst.Addr, Probe{Cost: 5, Fn: func(c *Ctx) { after++ }}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := v.Run()
@@ -358,7 +358,7 @@ func TestAfterCallSeesReturnValue(t *testing.T) {
 	v := New(prog, Config{})
 	var sawBefore, sawAfter uint64
 	sawBefore, sawAfter = 1, 1
-	if err := v.AddBefore(callInst.Addr, 0, func(c *Ctx) {
+	if err := v.AddBefore(callInst.Addr, Probe{Fn: func(c *Ctx) {
 		sawBefore = c.RetVal()
 		if c.CallArg(1) != 32 {
 			t.Errorf("CallArg(1) = %d, want 32", c.CallArg(1))
@@ -366,15 +366,15 @@ func TestAfterCallSeesReturnValue(t *testing.T) {
 		if got := c.TargetName(); got != "malloc" {
 			t.Errorf("TargetName = %q, want malloc", got)
 		}
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.AddAfter(callInst.Addr, 0, func(c *Ctx) {
+	if err := v.AddAfter(callInst.Addr, Probe{Fn: func(c *Ctx) {
 		sawAfter = c.RetVal()
 		if c.Inst() != callInst {
 			t.Error("after-probe inst mismatch")
 		}
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := v.Run(); err != nil {
@@ -411,7 +411,7 @@ func TestAfterRealCallFiresAfterReturn(t *testing.T) {
 	}
 	v := New(prog, Config{})
 	var got uint64
-	if err := v.AddAfter(callInst.Addr, 0, func(c *Ctx) { got = c.RetVal() }); err != nil {
+	if err := v.AddAfter(callInst.Addr, Probe{Fn: func(c *Ctx) { got = c.RetVal() }}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := v.Run(); err != nil {
@@ -431,26 +431,26 @@ func TestBlockEntryAndEdgeProbes(t *testing.T) {
 	loop := f.Loops[0]
 	v := New(prog, Config{})
 	var headEntries, iters, entries, exits int
-	if err := v.AddBlockEntry(loop.Header.Start, 0, func(c *Ctx) {
+	if err := v.AddBlockEntry(loop.Header.Start, Probe{Fn: func(c *Ctx) {
 		headEntries++
 		if c.Block() != loop.Header {
 			t.Error("block ctx mismatch")
 		}
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range loop.Backs {
-		if err := v.AddEdge(e.From.Start, e.To.Start, 0, func(c *Ctx) { iters++ }); err != nil {
+		if err := v.AddEdge(e.From.Start, e.To.Start, Probe{Fn: func(c *Ctx) { iters++ }}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, e := range loop.Entries {
-		if err := v.AddEdge(e.From.Start, e.To.Start, 0, func(c *Ctx) { entries++ }); err != nil {
+		if err := v.AddEdge(e.From.Start, e.To.Start, Probe{Fn: func(c *Ctx) { entries++ }}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, e := range loop.Exits {
-		if err := v.AddEdge(e.From.Start, e.To.Start, 0, func(c *Ctx) { exits++ }); err != nil {
+		if err := v.AddEdge(e.From.Start, e.To.Start, Probe{Fn: func(c *Ctx) { exits++ }}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -497,7 +497,7 @@ func TestTranslatorCanInstrument(t *testing.T) {
 	v := New(prog, Config{})
 	execBlocks := 0
 	if err := v.SetTranslator(func(b *cfg.Block) {
-		if err := v.AddBlockEntry(b.Start, 0, func(c *Ctx) { execBlocks++ }); err != nil {
+		if err := v.AddBlockEntry(b.Start, Probe{Fn: func(c *Ctx) { execBlocks++ }}); err != nil {
 			t.Error(err)
 		}
 	}); err != nil {
@@ -526,30 +526,137 @@ func TestStartEndHooks(t *testing.T) {
 	}
 }
 
+const installSrc = `
+.module a.out
+.executable
+.entry main
+.func main
+  mov r2, 0
+  mov r3, 2
+head:
+  add r2, r2, 1
+  blt r2, r3, head
+  call mid
+  halt
+.func mid
+  mov r0, 1
+  ret
+`
+
+// TestProbeRegistrationErrors is the error table of the four
+// installers: every rejected installation returns its error and leaves
+// the machine exactly as it was — no probe list, no flag, no control
+// block — so the run that follows fires nothing.
 func TestProbeRegistrationErrors(t *testing.T) {
-	prog := build(t, sumSrc)
-	f := prog.FuncByName("main")
-	var branch *isa.Inst
-	for _, b := range f.Blocks {
-		if b.Last().Op == isa.Branch {
-			branch = b.Last()
+	prog := build(t, installSrc)
+	mov := instByOp(t, prog, isa.Mov, 0)
+	add := instByOp(t, prog, isa.Add, 0)
+	branch := instByOp(t, prog, isa.Branch, 0)
+	ret := instByOp(t, prog, isa.Return, 0)
+	halt := instByOp(t, prog, isa.Halt, 0)
+	head := blockOf(t, prog, add.Addr)
+	entry := blockOf(t, prog, mov.Addr)
+
+	before := func(addr uint64) func(*VM, Probe) error {
+		return func(v *VM, p Probe) error { return v.AddBefore(addr, p) }
+	}
+	after := func(addr uint64) func(*VM, Probe) error {
+		return func(v *VM, p Probe) error { return v.AddAfter(addr, p) }
+	}
+	blockEntry := func(addr uint64) func(*VM, Probe) error {
+		return func(v *VM, p Probe) error { return v.AddBlockEntry(addr, p) }
+	}
+	edge := func(from, to uint64) func(*VM, Probe) error {
+		return func(v *VM, p Probe) error { return v.AddEdge(from, to, p) }
+	}
+	// validSites accept a plain probe; the share cases below are
+	// rejected at each of them.
+	validSites := map[string]func(*VM, Probe) error{
+		"before":      before(add.Addr),
+		"after":       after(add.Addr),
+		"block-entry": blockEntry(head.Start),
+		"edge":        edge(entry.Start, head.Start),
+	}
+
+	type installCase struct {
+		name     string
+		adaptive bool
+		install  func(*VM, Probe) error
+		probe    Probe
+		want     string
+	}
+	// Site errors carry a stride on an adaptive machine, so a control
+	// block allocated before validation would show.
+	sampled := Probe{Cost: 3, ID: 1, Stride: 4}
+	cases := []installCase{
+		{"before/no-inst", true, before(0x3), sampled, "vm: no instruction at 0x3"},
+		{"after/no-inst", true, after(0x3), sampled, "vm: no instruction at 0x3"},
+		{"block-entry/no-block", true, blockEntry(0x3), sampled, "vm: no basic block starting at 0x3"},
+		{"block-entry/mid-block", true, blockEntry(branch.Addr), sampled,
+			fmt.Sprintf("vm: no basic block starting at %#x", branch.Addr)},
+		{"edge/bad-from", true, edge(0x3, head.Start), sampled, "vm: no basic block starting at 0x3"},
+		{"edge/bad-to", true, edge(entry.Start, 0x3), sampled, "vm: no basic block starting at 0x3"},
+		{"after/branch", true, after(branch.Addr), sampled,
+			fmt.Sprintf("vm: after-probe invalid on %s at %#x", isa.Branch, branch.Addr)},
+		{"after/return", true, after(ret.Addr), sampled,
+			fmt.Sprintf("vm: after-probe invalid on %s at %#x", isa.Return, ret.Addr)},
+		{"after/halt", true, after(halt.Addr), sampled,
+			fmt.Sprintf("vm: after-probe invalid on %s at %#x", isa.Halt, halt.Addr)},
+	}
+	shares := []Share{{ID: 1, Cost: 5}, {ID: 2, Cost: 7}}
+	const withShares = "vm: coalesced probe takes its cost and attribution from its shares and cannot be sampled"
+	for _, site := range []string{"before", "after", "block-entry", "edge"} {
+		install := validSites[site]
+		cases = append(cases,
+			installCase{site + "/empty-shares", false, install, Probe{Shares: []Share{}}, "vm: coalesced probe needs at least one share"},
+			installCase{site + "/shares+cost", false, install, Probe{Shares: shares, Cost: 1}, withShares},
+			installCase{site + "/shares+id", false, install, Probe{Shares: shares, ID: 3}, withShares},
+			installCase{site + "/shares+stride", false, install, Probe{Shares: shares, Stride: 2}, withShares},
+			installCase{site + "/shares-adaptive", true, install, Probe{Shares: shares},
+				"vm: coalesced probes have no control block and cannot run in adaptive mode"},
+		)
+	}
+
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, mode := range []ExecMode{ExecTranslated, ExecInterpreted} {
+				v := New(prog, Config{ExecMode: mode, Adaptive: tc.adaptive})
+				fired := 0
+				p := tc.probe
+				p.Fn = func(*Ctx) { fired++ }
+				err := tc.install(v, p)
+				if err == nil || err.Error() != tc.want {
+					t.Fatalf("%s: error %v, want %q", mode, err, tc.want)
+				}
+				if v.anyCtl || len(v.ctls) != 0 || len(v.ctlByID) != 0 {
+					t.Fatalf("%s: rejected probe left a control block", mode)
+				}
+				for _, m := range v.mods {
+					for off := range m.flags {
+						if m.flags[off] != 0 || m.probes[off] != nil {
+							t.Fatalf("%s: rejected probe left state at %#x", mode, m.base+uint64(off))
+						}
+					}
+				}
+				if _, err := v.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if fired != 0 {
+					t.Fatalf("%s: rejected probe fired %d times", mode, fired)
+				}
+			}
+		})
+	}
+	// The same probes install at the valid sites once the offending
+	// field is cleared.
+	for site, install := range validSites {
+		v := New(prog, Config{})
+		if err := install(v, Probe{Shares: shares, Fn: func(*Ctx) {}}); err != nil {
+			t.Errorf("%s: coalesced probe rejected: %v", site, err)
 		}
-	}
-	v := New(prog, Config{})
-	if err := v.AddBefore(0x3, 0, func(*Ctx) {}); err == nil {
-		t.Error("AddBefore on bad addr succeeded")
-	}
-	if err := v.AddAfter(branch.Addr, 0, func(*Ctx) {}); err == nil {
-		t.Error("AddAfter on branch succeeded")
-	}
-	if err := v.AddBlockEntry(branch.Addr, 0, func(*Ctx) {}); err == nil {
-		t.Error("AddBlockEntry mid-block succeeded")
-	}
-	if err := v.AddEdge(0x3, f.Blocks[0].Start, 0, func(*Ctx) {}); err == nil {
-		t.Error("AddEdge bad from succeeded")
-	}
-	if err := v.AddEdge(f.Blocks[0].Start, 0x3, 0, func(*Ctx) {}); err == nil {
-		t.Error("AddEdge bad to succeeded")
+		if err := install(v, Probe{Cost: 1, ID: 3, Stride: 2, Fn: func(*Ctx) {}}); err != nil {
+			t.Errorf("%s: sampled probe rejected: %v", site, err)
+		}
 	}
 }
 
@@ -588,9 +695,9 @@ func TestReturnAddressOnStackIsObservable(t *testing.T) {
 	var out bytes.Buffer
 	v.appOut = &out
 	var observed uint64
-	if err := v.AddBefore(retInst.Addr, 0, func(c *Ctx) {
+	if err := v.AddBefore(retInst.Addr, Probe{Fn: func(c *Ctx) {
 		observed, _ = c.Target()
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := v.Run(); err != nil {
