@@ -75,6 +75,16 @@ type FleetConfig struct {
 	Artifacts func() ArtifactStats
 }
 
+// Connection bounds of the HTTP server: a client that never finishes
+// its request headers, or parks an idle keep-alive connection, is
+// disconnected instead of holding a connection and its goroutine
+// forever. There is deliberately no write timeout, because /trace
+// streams for as long as its client listens.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // FleetServer serves a Fleet's sessions over HTTP (the endpoints are
 // listed in the package documentation).
 type FleetServer struct {
@@ -117,7 +127,11 @@ func (s *FleetServer) Start(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("monitor: listen %s: %w", addr, err)
 	}
-	s.srv = &http.Server{Handler: s.Handler()}
+	s.srv = &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	go func() { _ = s.srv.Serve(ln) }()
 	return ln.Addr().String(), nil
 }

@@ -259,3 +259,19 @@ func TestStartServesAndShutdownReleasesStreams(t *testing.T) {
 		t.Fatal("series has no points after a 10ms-interval run")
 	}
 }
+
+// The started server bounds connections that stall before or between
+// requests, and leaves responses unbounded so /trace can stream.
+func TestStartBoundsStalledConnections(t *testing.T) {
+	s := NewFleetServer(FleetConfig{Fleet: NewFleet()})
+	if _, err := s.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	if s.srv.ReadHeaderTimeout <= 0 || s.srv.IdleTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout=%v IdleTimeout=%v, want both bounded", s.srv.ReadHeaderTimeout, s.srv.IdleTimeout)
+	}
+	if s.srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout=%v would cut /trace streams", s.srv.WriteTimeout)
+	}
+}

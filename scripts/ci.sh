@@ -2,6 +2,7 @@
 # Tier-1 gate: everything must pass before a change lands.
 #
 #   vet        static checks
+#   gofmt      every Go file in the tree is gofmt-formatted
 #   build      every package compiles
 #   race test  full suite under the race detector (the bench sweeps run
 #              their (benchmark x framework) cells on a worker pool, so
@@ -53,6 +54,9 @@ cd "$(dirname "$0")/.."
 
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> gofmt -l ."
+test -z "$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 echo "==> go build ./..."
 go build ./...
